@@ -371,7 +371,7 @@ let scaling () =
             (Harness.Engine.name kind, o.Harness.Engine.time_s))
           Harness.Engine.all
       in
-      let r, t = time (fun () -> Harness.Portfolio.run ~gpo_scan:true net) in
+      let r, t = time (fun () -> Harness.Portfolio.run net) in
       let winner =
         Harness.Engine.name r.Harness.Portfolio.outcome.Harness.Engine.kind
       in

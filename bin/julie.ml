@@ -55,15 +55,12 @@ let first_stop outcomes =
       if Harness.Engine.truncated o then Some o.stop else None)
     outcomes
 
-(* Wrap a command body so our own [failwith]s (and unreadable or
-   malformed --file arguments) become exit code 2. *)
+(* Wrap a command body so our own [failwith]s (and unreadable files)
+   become exit code 2. *)
 let usage_checked f =
   try f () with
   | Failure msg | Sys_error msg ->
       Format.eprintf "julie: %s@." msg;
-      exit_usage
-  | Petri.Parser.Syntax_error e ->
-      Format.eprintf "julie: %a@." Petri.Parser.pp_error e;
       exit_usage
 
 (* ------------------------------------------------------------------ *)
@@ -143,48 +140,14 @@ let with_obs opts f =
         trace)
     f
 
-(* One instrumented engine run: telemetry is reset so the summary and
-   the emitted totals cover exactly this run. *)
-let observed_run opts ~net_name ~engine f =
-  Gpo_obs.reset ();
-  Gpo_obs.meta "run" [ ("net", Gpo_obs.S net_name); ("engine", Gpo_obs.S engine) ];
-  let outcome : Harness.Engine.outcome = f () in
-  Gpo_obs.meta "outcome"
-    [
-      ("engine", Gpo_obs.S engine);
-      ("deadlock", Gpo_obs.B outcome.deadlock);
-      ("stop_reason", Gpo_obs.S (Guard.string_of_stop outcome.stop));
-    ];
-  Gpo_obs.emit_snapshot ();
-  if opts.stats then Format.printf "%a@." Gpo_obs.pp_summary (Gpo_obs.snapshot ());
-  outcome
-
 (* ------------------------------------------------------------------ *)
-(* Net sources                                                         *)
+(* Questions: net source, engine selection, budgets (Harness.Query)    *)
 
-let load_net file builtin size =
-  match (file, builtin) with
-  | Some path, None -> Petri.Parser.of_file path
-  | None, Some id -> begin
-      match String.lowercase_ascii id with
-      | "fig1" -> Models.Figures.fig1
-      | "fig2" -> Models.Figures.fig2 size
-      | "fig3" -> Models.Figures.fig3
-      | "fig5" -> Models.Figures.fig5
-      | "fig7" -> Models.Figures.fig7
-      | "scheduler" -> Models.Scheduler.make size
-      | "random" -> Models.Random_net.generate size
-      | id -> (
-          match Harness.Experiment.family id with
-          | fam -> fam.make size
-          | exception Not_found ->
-              failwith
-                (Printf.sprintf
-                   "unknown model %S (expected nsdp, asat, over, rw, scheduler, \
-                    random, or a figure)" id))
-    end
-  | Some _, Some _ -> failwith "give either --file or --model, not both"
-  | None, None -> failwith "a net is required: --file FILE or --model NAME"
+module Q = Harness.Query
+
+(* A [Harness.Query] error is a usage error: [usage_checked] turns the
+   [Failure] into exit 2. *)
+let or_usage = function Ok x -> x | Error msg -> failwith msg
 
 let file_arg =
   let doc = "Read the net from $(docv) (textual format, see Petri.Parser)." in
@@ -201,12 +164,53 @@ let size_arg =
   let doc = "Instance size (or random seed) for --model." in
   Arg.(value & opt int 4 & info [ "n"; "size" ] ~docv:"N" ~doc)
 
+(* The net source, checked only when a command needs it ([submit --ping]
+   needs none). *)
+let source_term =
+  let source file model size =
+    match (file, model) with
+    | Some path, None -> Ok (Q.File path)
+    | None, Some id -> Ok (Q.Model { id; size })
+    | Some _, Some _ -> Error "give either --file or --model, not both"
+    | None, None -> Error "a net is required: --file FILE or --model NAME"
+  in
+  Term.(const source $ file_arg $ model_arg $ size_arg)
+
+let load_source source = or_usage (Result.bind source Q.load)
+
+let selection_conv =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (Q.selection_of_string s)),
+      fun ppf sel -> Format.pp_print_string ppf (Q.selection_name sel) )
+
+let engines_arg =
+  let doc =
+    "Engine to run: full, po, smv, gpo, or portfolio (race the engines in \
+     separate domains, first conclusive verdict wins).  Repeatable; default \
+     all four single engines."
+  in
+  Arg.(value & opt_all selection_conv [] & info [ "e"; "engine" ] ~docv:"ENGINE" ~doc)
+
+let all_engines = function
+  | [] -> List.map (fun k -> Q.Single k) Harness.Engine.all
+  | engines -> engines
+
+(* ------------------------------------------------------------------ *)
+(* Budgets and resource governance (shared by the verdict commands)    *)
+
 let max_states_arg =
   let doc = "State budget for the explicit engines." in
   Arg.(value & opt int 5_000_000 & info [ "max-states" ] ~docv:"N" ~doc)
 
-(* ------------------------------------------------------------------ *)
-(* Resource governance (shared by the verdict commands)                *)
+let jobs_arg =
+  let doc =
+    "Worker domains for parallel exploration (full, po, and gpo — the GPO \
+     explorer fans each wave of runs out over $(docv) domains); 0 means \
+     auto (the recommended domain count for this machine).  With \
+     $(b,-e portfolio) the racing entrants additionally get $(docv) workers \
+     each for their own exploration."
+  in
+  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let timeout_arg =
   let doc =
@@ -226,88 +230,10 @@ let mem_mb_arg =
   in
   Arg.(value & opt (some int) None & info [ "mem-mb" ] ~docv:"MB" ~doc)
 
-(* Run [body ?guard] under a guard armed with the requested budgets;
-   without budgets, no guard is created and the default path is
-   untouched. *)
-let guarded ?deadline_s ?mem_mb body =
-  match (deadline_s, mem_mb) with
-  | None, None -> body None
-  | _ -> Guard.with_guard ?deadline_s ?mem_mb (fun g -> body (Some g))
-
-(* ------------------------------------------------------------------ *)
-(* analyze                                                             *)
-
-let parse_engine = function
-  | "full" -> Ok Harness.Engine.Full
-  | "po" | "spin+po" | "stubborn" -> Ok Harness.Engine.Stubborn
-  | "smv" | "bdd" | "symbolic" -> Ok Harness.Engine.Symbolic
-  | "gpo" -> Ok Harness.Engine.Gpo
-  | s -> Error (`Msg (Printf.sprintf "unknown engine %S" s))
-
-let engine_conv =
-  Arg.conv
-    (parse_engine, fun ppf k -> Format.pp_print_string ppf (Harness.Engine.name k))
-
-(* Engine selection for the verdict commands: one engine, or the racing
-   portfolio of [Harness.Portfolio]. *)
-type engine_sel = Single of Harness.Engine.kind | Portfolio
-
-let sel_name = function
-  | Single k -> Harness.Engine.name k
-  | Portfolio -> "portfolio"
-
-let engine_sel_conv =
-  let parse = function
-    | "portfolio" -> Ok Portfolio
-    | s -> Result.map (fun k -> Single k) (parse_engine s)
-  in
-  Arg.conv (parse, fun ppf sel -> Format.pp_print_string ppf (sel_name sel))
-
-let engines_arg =
-  let doc =
-    "Engine to run: full, po, smv, gpo, or portfolio (race the engines in \
-     separate domains, first conclusive verdict wins).  Repeatable; default \
-     all four single engines."
-  in
-  Arg.(value & opt_all engine_sel_conv [] & info [ "e"; "engine" ] ~docv:"ENGINE" ~doc)
-
-let jobs_arg =
-  let doc =
-    "Worker domains for parallel exploration (full, po, and gpo — the GPO \
-     explorer fans each wave of runs out over $(docv) domains); 0 means \
-     auto (the recommended domain count for this machine).  With \
-     $(b,-e portfolio) the racing entrants additionally get $(docv) workers \
-     each for their own exploration."
-  in
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let resolve_jobs n = if n <= 0 then Par.Pool.default_jobs () else n
-
-(* Run one selection.  The portfolio races for the verdict itself, so
-   its GPO entrant always uses the hardened (scan) configuration —
-   the paper configuration can miss deadlocks. *)
-let run_sel ~max_states ~witness ~gpo_scan ~reduce ~jobs ?deadline_s ?mem_mb sel
-    net =
-  match sel with
-  | Single kind ->
-      guarded ?deadline_s ?mem_mb (fun guard ->
-          Harness.Engine.run ~max_states ~witness ~gpo_scan ~reduce ~jobs ?guard
-            kind net)
-  | Portfolio ->
-      (* The portfolio arms one guard per entrant, inside each racing
-         domain (Gc alarms are per-domain). *)
-      let r =
-        Harness.Portfolio.run ~max_states ~witness ~gpo_scan:true ~reduce ~jobs
-          ?deadline_s ?mem_mb net
-      in
-      Format.printf "portfolio: %s won [%s]%s@."
-        (Harness.Engine.name r.Harness.Portfolio.outcome.Harness.Engine.kind)
-        (String.concat " " (List.map Harness.Engine.name r.Harness.Portfolio.raced))
-        (if r.Harness.Portfolio.cancelled_losers > 0 then
-           Printf.sprintf ", %d loser(s) cancelled"
-             r.Harness.Portfolio.cancelled_losers
-         else "");
-      r.Harness.Portfolio.outcome
+let budgets_term max_states =
+  Term.(const (fun max_states jobs timeout_s mem_mb ->
+            { Q.max_states; jobs; timeout_s; mem_mb })
+        $ max_states $ jobs_arg $ timeout_arg $ mem_mb_arg)
 
 let witness_arg =
   let doc =
@@ -342,36 +268,57 @@ let pp_reduction net =
   let r = Reduce.run net in
   Format.printf "reduction: %a@." Reduce.pp_summary r
 
-let analyze file builtin size engines max_states jobs witness reduce timeout
-    mem_mb obs =
+let pp_race (r : Harness.Portfolio.report) =
+  Format.printf "portfolio: %s won [%s]%s@."
+    (Harness.Engine.name r.outcome.Harness.Engine.kind)
+    (String.concat " " (List.map Harness.Engine.name r.raced))
+    (if r.cancelled_losers > 0 then
+       Printf.sprintf ", %d loser(s) cancelled" r.cancelled_losers
+     else "")
+
+(* One instrumented run of [sel] on the prepared question: telemetry is
+   reset so the summary and the emitted totals cover exactly this run. *)
+let observed_run obs ~witness ~reduce budgets (q : Q.t) sel =
+  let engine = Gpo_obs.S (Q.selection_name sel) in
+  Gpo_obs.reset ();
+  Gpo_obs.meta "run"
+    [ ("net", Gpo_obs.S q.target.Petri.Net.name); ("engine", engine) ];
+  let outcome = Q.run ~on_race:pp_race ~witness ~reduce budgets sel q in
+  Gpo_obs.meta "outcome"
+    [
+      ("engine", engine);
+      ("deadlock", Gpo_obs.B outcome.deadlock);
+      ("stop_reason", Gpo_obs.S (Guard.string_of_stop outcome.stop));
+    ];
+  Gpo_obs.emit_snapshot ();
+  if obs.stats then Format.printf "%a@." Gpo_obs.pp_summary (Gpo_obs.snapshot ());
+  outcome
+
+let size_unit (o : Harness.Engine.outcome) =
+  match o.kind with Harness.Engine.Symbolic -> "peak nodes" | _ -> "states"
+
+(* ------------------------------------------------------------------ *)
+(* analyze                                                             *)
+
+let analyze source engines budgets witness reduce obs =
   usage_checked @@ fun () ->
-  let net = load_net file builtin size in
+  let q = or_usage (Result.bind source Q.prepare) in
+  let net = q.net in
   Format.printf "%a@." Petri.Net.pp_summary net;
-  let jobs = resolve_jobs jobs in
-  let engines =
-    if engines = [] then List.map (fun k -> Single k) Harness.Engine.all
-    else engines
-  in
   if reduce then pp_reduction net;
   with_obs obs @@ fun () ->
   let outcomes =
     List.map
       (fun sel ->
-        let o =
-          observed_run obs ~net_name:net.Petri.Net.name ~engine:(sel_name sel)
-            (fun () ->
-              run_sel ~max_states ~witness ~gpo_scan:false ~reduce ~jobs
-                ?deadline_s:timeout ?mem_mb sel net)
-        in
+        let o = observed_run obs ~witness ~reduce budgets q sel in
         Format.printf "%a@." Harness.Engine.pp_outcome o;
         (match o.Harness.Engine.witness with
         | Some tr ->
             Format.printf "  witness: %a@." (Petri.Trace.pp net) tr;
-            Format.printf "  %a@." (Harness.Certify.pp net)
-              (Harness.Certify.deadlock net o)
+            Format.printf "  %a@." (Harness.Certify.pp net) (Q.certify q o)
         | None -> ());
         o)
-      engines
+      (all_engines engines)
   in
   match Harness.Certify.conclusion outcomes with
   | `Violated -> exit_violated
@@ -387,23 +334,18 @@ let analyze_cmd =
             came from a truncated exploration (inconclusive)."
   in
   Cmd.v info
-    Term.(const analyze $ file_arg $ model_arg $ size_arg $ engines_arg
-          $ max_states_arg $ jobs_arg $ witness_arg $ reduce_term $ timeout_arg
-          $ mem_mb_arg $ obs_term)
+    Term.(const analyze $ source_term $ engines_arg $ budgets_term max_states_arg
+          $ witness_arg $ reduce_term $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* trace                                                               *)
 
-let trace file builtin size engine max_states jobs reduce timeout mem_mb =
+let trace source sel budgets reduce =
   usage_checked @@ fun () ->
-  let net = load_net file builtin size in
-  let jobs = resolve_jobs jobs in
+  let q = or_usage (Result.bind source Q.prepare) in
+  let net = q.net in
   if reduce then pp_reduction net;
-  let o =
-    guarded ?deadline_s:timeout ?mem_mb (fun guard ->
-        Harness.Engine.run ~max_states ~witness:true ~gpo_scan:true ~reduce ~jobs
-          ?guard engine net)
-  in
+  let o = Q.run ~witness:true ~reduce budgets sel q in
   match o.Harness.Engine.witness with
   | Some tr ->
       Format.printf "@[<v>deadlock reached by:@ %a@ @ %a@]@." (Petri.Trace.pp net) tr
@@ -414,26 +356,24 @@ let trace file builtin size engine max_states jobs reduce timeout mem_mb =
         (* An engine claiming a deadlock must produce a witness; treat a
            missing one as an internal failure, not a verdict. *)
         Format.eprintf "julie: %s reported a deadlock without a witness@."
-          (Harness.Engine.name engine);
+          (Q.selection_name sel);
         exit_indeterminate
       end
       else if Harness.Engine.truncated o then
         inconclusive ~stop:o.Harness.Engine.stop ()
       else begin
         Format.printf "deadlock free (%s engine, %.0f %s)@."
-          (Harness.Engine.name engine)
-          o.Harness.Engine.metric
-          (match engine with
-          | Harness.Engine.Symbolic -> "peak nodes"
-          | _ -> "states");
+          (Harness.Engine.name o.Harness.Engine.kind)
+          o.Harness.Engine.metric (size_unit o);
         exit_holds
       end
 
 let trace_cmd =
   let engine =
-    Arg.(value & opt engine_conv Harness.Engine.Gpo
+    Arg.(value & opt selection_conv (Q.Single Harness.Engine.Gpo)
          & info [ "e"; "engine" ] ~docv:"ENGINE"
-             ~doc:"Engine reconstructing the witness: full, po, smv or gpo.")
+             ~doc:"Engine reconstructing the witness: full, po, smv, gpo or \
+                   portfolio.")
   in
   let info =
     Cmd.info "trace" ~exits:verdict_exits
@@ -441,8 +381,8 @@ let trace_cmd =
             chosen engine (default gpo) and replayed step by step."
   in
   Cmd.v info
-    Term.(const trace $ file_arg $ model_arg $ size_arg $ engine $ max_states_arg
-          $ jobs_arg $ reduce_term $ timeout_arg $ mem_mb_arg)
+    Term.(const trace $ source_term $ engine $ budgets_term max_states_arg
+          $ reduce_term)
 
 (* ------------------------------------------------------------------ *)
 (* table1 / fig                                                        *)
@@ -488,9 +428,9 @@ let fig_cmd =
 (* ------------------------------------------------------------------ *)
 (* dot                                                                 *)
 
-let dot file builtin size graph gpo_graph output =
+let dot source graph gpo_graph output =
   usage_checked @@ fun () ->
-  let net = load_net file builtin size in
+  let net = load_source source in
   let contents =
     if gpo_graph then Gpn.Render.result (Gpn.Explorer.analyse net)
     else if graph then
@@ -518,52 +458,37 @@ let dot_cmd =
            ~doc:"Render the generalized partial-order state graph instead.")
   in
   let info = Cmd.info "dot" ~doc:"Export a net (or a state graph) to Graphviz." in
-  Cmd.v info
-    Term.(const dot $ file_arg $ model_arg $ size_arg $ graph $ gpo_graph $ output)
+  Cmd.v info Term.(const dot $ source_term $ graph $ gpo_graph $ output)
 
 (* ------------------------------------------------------------------ *)
 (* safety                                                              *)
 
-let safety file builtin size cover engine jobs reduce timeout mem_mb obs =
+let safety source cover sel budgets reduce obs =
   usage_checked @@ fun () ->
-  let net = load_net file builtin size in
   if cover = [] then failwith "--place PLACE (repeatable) is required";
-  let property =
-    {
-      Petri.Safety.name = "prop";
-      never_all = List.map (Petri.Net.place_index net) cover;
-    }
-  in
-  let monitored = Petri.Safety.monitor net property in
-  let jobs = resolve_jobs jobs in
+  let q = or_usage (Result.bind source (Q.prepare ~cover)) in
+  let net = q.net in
   (* The engines see the monitored net, so that is what the reduction
      pipeline shrinks (as a deadlock query — the monitor has already
      turned coverability into deadlock); the lifted witness comes back
-     in monitored-net indices and [Certify.safety] projects it. *)
-  if reduce then pp_reduction monitored;
+     in monitored-net indices and [Q.certify] projects it. *)
+  if reduce then pp_reduction q.target;
   with_obs obs @@ fun () ->
-  let outcome =
-    (* gpo_scan: the verdict itself is the product here, so the GPO
-       engine must run in its complete (hardened) configuration — the
-       paper configuration can miss covering markings. *)
-    observed_run obs ~net_name:monitored.Petri.Net.name
-      ~engine:(sel_name engine) (fun () ->
-        run_sel ~max_states:5_000_000 ~witness:true ~gpo_scan:true ~reduce ~jobs
-          ?deadline_s:timeout ?mem_mb engine monitored)
-  in
+  let outcome = observed_run obs ~witness:true ~reduce budgets q sel in
   if outcome.Harness.Engine.deadlock then begin
     Format.printf "VIOLATED: {%s} can be marked simultaneously@."
       (String.concat ", " cover);
     (* The engine's witness (on the monitored net), projected back to
        the original net and certified; fall back to a direct search if
        certification fails. *)
-    (match Harness.Certify.safety net property outcome with
-    | Harness.Certify.Certified { trace; _ } ->
+    (match (Q.certify q outcome, q.property) with
+    | Harness.Certify.Certified { trace; _ }, _ ->
         Format.printf "scenario (certified): %a@." (Petri.Trace.pp net) trace
-    | _ -> (
+    | _, Some property -> (
         match Petri.Safety.covering_marking net property with
         | Some trace -> Format.printf "scenario: %a@." (Petri.Trace.pp net) trace
-        | None -> ()));
+        | None -> ())
+    | _, None -> ());
     exit_violated
   end
   else if Harness.Engine.truncated outcome then
@@ -572,10 +497,7 @@ let safety file builtin size cover engine jobs reduce timeout mem_mb obs =
     Format.printf "holds: {%s} never marked simultaneously (%s engine, %.0f %s)@."
       (String.concat ", " cover)
       (Harness.Engine.name outcome.Harness.Engine.kind)
-      outcome.Harness.Engine.metric
-      (match outcome.Harness.Engine.kind with
-      | Harness.Engine.Symbolic -> "peak nodes"
-      | _ -> "states");
+      outcome.Harness.Engine.metric (size_unit outcome);
     exit_holds
   end
 
@@ -585,7 +507,7 @@ let safety_cmd =
            ~doc:"Place of the cover to check (repeatable): the property is                  that all given places are never marked at once.")
   in
   let engine =
-    Arg.(value & opt engine_sel_conv (Single Harness.Engine.Gpo)
+    Arg.(value & opt selection_conv (Q.Single Harness.Engine.Gpo)
            & info [ "e"; "engine" ] ~docv:"ENGINE"
                ~doc:"Engine for the deadlock check (or portfolio).")
   in
@@ -596,54 +518,27 @@ let safety_cmd =
             on usage errors."
   in
   Cmd.v info
-    Term.(const safety $ file_arg $ model_arg $ size_arg $ cover $ engine
-          $ jobs_arg $ reduce_term $ timeout_arg $ mem_mb_arg $ obs_term)
+    Term.(const safety $ source_term $ cover $ engine
+          $ budgets_term (const 5_000_000) $ reduce_term $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* certify                                                             *)
 
-let certify file builtin size engines max_states jobs cover reduce timeout
-    mem_mb obs =
+let certify source engines budgets cover reduce obs =
   usage_checked @@ fun () ->
-  let net = load_net file builtin size in
-  let jobs = resolve_jobs jobs in
-  let engines =
-    if engines = [] then List.map (fun k -> Single k) Harness.Engine.all
-    else engines
-  in
-  let property =
-    match cover with
-    | [] -> None
-    | places ->
-        Some
-          {
-            Petri.Safety.name = "prop";
-            never_all = List.map (Petri.Net.place_index net) places;
-          }
-  in
-  let target =
-    match property with None -> net | Some p -> Petri.Safety.monitor net p
-  in
-  if reduce then pp_reduction target;
+  let q = or_usage (Result.bind source (Q.prepare ~cover)) in
+  let net = q.net in
+  if reduce then pp_reduction q.target;
   with_obs obs @@ fun () ->
   let results =
     List.map
       (fun sel ->
-        let o =
-          observed_run obs ~net_name:target.Petri.Net.name
-            ~engine:(sel_name sel) (fun () ->
-              run_sel ~max_states ~witness:true ~gpo_scan:true ~reduce ~jobs
-                ?deadline_s:timeout ?mem_mb sel target)
-        in
-        let v =
-          match property with
-          | None -> Harness.Certify.deadlock net o
-          | Some p -> Harness.Certify.safety net p o
-        in
-        Format.printf "@[<v 2>%-8s %a@]@." (sel_name sel)
+        let o = observed_run obs ~witness:true ~reduce budgets q sel in
+        let v = Q.certify q o in
+        Format.printf "@[<v 2>%-8s %a@]@." (Q.selection_name sel)
           (Harness.Certify.pp net) v;
         (o, v))
-      engines
+      (all_engines engines)
   in
   let verdicts = List.map snd results in
   let any p = List.exists p verdicts in
@@ -673,9 +568,8 @@ let certify_cmd =
             claimed violation fails certification."
   in
   Cmd.v info
-    Term.(const certify $ file_arg $ model_arg $ size_arg $ engines_arg
-          $ max_states_arg $ jobs_arg $ cover $ reduce_term $ timeout_arg
-          $ mem_mb_arg $ obs_term)
+    Term.(const certify $ source_term $ engines_arg $ budgets_term max_states_arg
+          $ cover $ reduce_term $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* bench-diff                                                          *)
@@ -828,9 +722,8 @@ let describe_verdict = function
   | Stdlib.Ok Serve.Protocol.Inconclusive -> "inconclusive"
   | Stdlib.Error msg -> "failed: " ^ msg
 
-let submit socket port host file builtin size cover engine max_states jobs
-    witness reduce timeout mem_mb repeat batch json_out retries backoff_ms ping
-    stats shutdown =
+let submit socket port host source cover engine budgets witness reduce repeat
+    batch json_out retries backoff_ms ping stats shutdown =
   usage_checked @@ fun () ->
   let endpoint = endpoint_of socket port host in
   let fail msg =
@@ -866,19 +759,17 @@ let submit socket port host file builtin size cover engine max_states jobs
           jobs_of_batch_text (In_channel.with_open_text path In_channel.input_all)
       | None ->
           let net =
-            match (file, builtin) with
-            | Some path, None ->
+            match or_usage source with
+            | Q.File path ->
                 Serve.Protocol.Inline
                   (In_channel.with_open_text path In_channel.input_all)
-            | None, Some id -> Serve.Protocol.Model { id; size }
-            | Some _, Some _ -> failwith "give either --file or --model, not both"
-            | None, None ->
-                failwith
-                  "a net is required: --file FILE, --model NAME, or --batch FILE"
+            | Q.Inline text -> Serve.Protocol.Inline text
+            | Q.Model { id; size } -> Serve.Protocol.Model { id; size }
           in
+          let { Q.max_states; jobs; timeout_s; mem_mb } = budgets in
           let j =
-            Serve.Protocol.job ~cover ~engine ~max_states ~witness ~reduce ~jobs
-              ?timeout_s:timeout ?mem_mb net
+            Serve.Protocol.job ~cover ~engine:(Q.selection_name engine)
+              ~max_states ~witness ~reduce ~jobs ?timeout_s ?mem_mb net
           in
           List.init (max 1 repeat) (fun _ -> j)
     in
@@ -929,8 +820,9 @@ let submit_cmd =
                  $(b,julie safety)) instead of deadlock freedom.")
   in
   let engine =
-    Arg.(value & opt string "gpo" & info [ "e"; "engine" ] ~docv:"ENGINE"
-           ~doc:"Engine: full, po, smv, gpo, or portfolio.")
+    Arg.(value & opt selection_conv (Q.Single Harness.Engine.Gpo)
+         & info [ "e"; "engine" ] ~docv:"ENGINE"
+             ~doc:"Engine: full, po, smv, gpo, or portfolio.")
   in
   let repeat =
     Arg.(value & opt int 1 & info [ "repeat" ] ~docv:"N"
@@ -984,17 +876,17 @@ let submit_cmd =
             rejection, or certification failure."
   in
   Cmd.v info
-    Term.(const submit $ socket_arg $ port_arg $ host_arg $ file_arg $ model_arg
-          $ size_arg $ cover $ engine $ max_states_arg $ jobs_arg $ witness
-          $ reduce_term $ timeout_arg $ mem_mb_arg $ repeat $ batch $ json_out
-          $ retries $ backoff_ms $ ping $ stats $ shutdown)
+    Term.(const submit $ socket_arg $ port_arg $ host_arg $ source_term $ cover
+          $ engine $ budgets_term max_states_arg $ witness $ reduce_term
+          $ repeat $ batch $ json_out $ retries $ backoff_ms $ ping $ stats
+          $ shutdown)
 
 (* ------------------------------------------------------------------ *)
 (* siphons                                                             *)
 
-let siphons file builtin size =
+let siphons source =
   usage_checked @@ fun () ->
-  let net = load_net file builtin size in
+  let net = load_source source in
   Format.printf "%a@." Petri.Net.pp_summary net;
   Format.printf "free choice: %b@." (Petri.Siphon.is_free_choice net);
   let siphons = Petri.Siphon.minimal_siphons net in
@@ -1016,14 +908,14 @@ let siphons_cmd =
   let info =
     Cmd.info "siphons" ~doc:"Structural deadlock analysis: minimal siphons and traps."
   in
-  Cmd.v info Term.(const siphons $ file_arg $ model_arg $ size_arg)
+  Cmd.v info Term.(const siphons $ source_term)
 
 (* ------------------------------------------------------------------ *)
 (* info                                                                *)
 
-let info_command file builtin size =
+let info_command source =
   usage_checked @@ fun () ->
-  let net = load_net file builtin size in
+  let net = load_source source in
   Format.printf "%a@." Petri.Net.pp_summary net;
   let conflict = Petri.Conflict.analyse net in
   let clusters =
@@ -1045,7 +937,7 @@ let info_command file builtin size =
 
 let info_cmd =
   let info = Cmd.info "info" ~doc:"Structural and behavioural report for a net." in
-  Cmd.v info Term.(const info_command $ file_arg $ model_arg $ size_arg)
+  Cmd.v info Term.(const info_command $ source_term)
 
 (* ------------------------------------------------------------------ *)
 

@@ -34,7 +34,7 @@ let explicit_witness ?cancel (r : Petri.Reachability.result) =
         (Gpo_obs.Span.time "reach.witness" (fun () ->
              Petri.Reachability.trace_to ?cancel r m))
 
-let run ?(max_states = 5_000_000) ?(witness = false) ?(gpo_scan = false)
+let run ?(max_states = 5_000_000) ?(witness = false) ?(gpo_scan = true)
     ?(reduce = false) ?cancel ?guard ?(jobs = 1) kind net =
   Gpo_obs.Span.time ("engine." ^ name kind) @@ fun () ->
   let t0 = Unix.gettimeofday () in
@@ -100,11 +100,10 @@ let run ?(max_states = 5_000_000) ?(witness = false) ?(gpo_scan = false)
           witness = r.witness;
         }
     | Gpo ->
-        (* Default: the paper-faithful configuration, no deviation scan
-           (Section 3.3 as published) — sound on found deadlocks but not
-           complete on every net.  [gpo_scan] switches to the library's
-           hardened default (scan = true), the configuration certification
-           and conformance tooling must use. *)
+        (* Default: the complete configuration with the deviation scan.
+           [~gpo_scan:false] is the paper's procedure (Section 3.3 as
+           published): sound on the deadlocks it finds, but it can miss
+           some. *)
         let r, time_s =
           timed (fun () ->
               Gpn.Explorer.analyse ~scan:gpo_scan ~max_states ~jobs ?cancel

@@ -71,14 +71,13 @@ val run :
     ({!Gpn.Explorer.analyse} with [~jobs]); only the symbolic engine
     is single-domain by design and ignores it.
 
-    [gpo_scan] (default [false]) selects the GPO configuration and is
-    ignored by the other engines.  The default is the paper-faithful
-    configuration ([Gpn.Explorer.analyse ~scan:false], Section 3.3 as
-    published), which is what Table 1 reproduces; it is sound on any
-    deadlock it {e finds} but can miss deadlocks on some nets.  Pass
-    [~gpo_scan:true] to use the library's hardened default with the
-    deviation scan whenever the verdict itself matters (certification,
-    conformance, [julie safety]).
+    [gpo_scan] (default [true]) selects the GPO configuration and is
+    ignored by the other engines.  The default is the complete
+    configuration with the deviation scan, the same default as
+    [Gpn.Explorer.analyse ~scan].  [~gpo_scan:false] is the
+    paper-faithful procedure (Section 3.3 as published): sound on any
+    deadlock it {e finds}, but it can miss deadlocks on some nets.
+    Only {!Experiment}, which reproduces Table 1, asks for it.
 
     [reduce] (default [false]) applies the deadlock-preserving
     structural reduction pipeline ({!Reduce.run}) to the net first and

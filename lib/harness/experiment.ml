@@ -130,7 +130,8 @@ let measure ?(engines = Engine.all) ?max_states ?(full_budget = infinity) fam si
         row nan nan nan None nan nan
   in
   let run kind =
-    let go () = Engine.run ?max_states kind net in
+    (* Table 1 reproduces the paper's GPO procedure: no deviation scan. *)
+    let go () = Engine.run ?max_states ~gpo_scan:false kind net in
     let budgeted_run ~budget ~growth =
       match
         budgeted ~engine:(Engine.name kind) ~family:fam.id ~budget ~growth go

@@ -43,7 +43,8 @@ val measure :
   family ->
   int ->
   measurement
-(** Run the engines on one instance.  [engines] defaults to all four.
+(** Run the engines on one instance.  [engines] defaults to all four;
+    GPO runs the paper's procedure ([Engine.run ~gpo_scan:false]).
     [full_budget] (seconds, default: unlimited) skips the conventional
     and symbolic engines when the time spent on the family's {e previous}
     sizes, extrapolated pessimistically, exceeds the budget — the

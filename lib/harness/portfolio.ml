@@ -57,7 +57,7 @@ let fate entry =
   | Done (o, _) when conclusive o -> "conclusive"
   | Done _ | Cancelled | Failed _ -> Guard.string_of_stop (stop_of entry)
 
-let run ?max_states ?witness ?gpo_scan ?(reduce = false) ?jobs ?deadline_s
+let run ?max_states ?witness ?(reduce = false) ?jobs ?deadline_s
     ?mem_mb ?(engines = [ Engine.Stubborn; Engine.Symbolic; Engine.Gpo ]) net =
   if engines = [] then invalid_arg "Portfolio.run: empty engine list";
   (* Reduce once, up front, on the coordinator domain: every entrant
@@ -77,7 +77,7 @@ let run ?max_states ?witness ?gpo_scan ?(reduce = false) ?jobs ?deadline_s
       match
         Gpo_obs.Scoped.capture (fun () ->
             Guard.with_guard ?deadline_s ?mem_mb (fun guard ->
-                Engine.run ?max_states ?witness ?gpo_scan ?jobs ~cancel:token
+                Engine.run ?max_states ?witness ?jobs ~cancel:token
                   ~guard kind net))
       with
       | o, events -> Done (o, events)

@@ -33,7 +33,6 @@ type report = {
 val run :
   ?max_states:int ->
   ?witness:bool ->
-  ?gpo_scan:bool ->
   ?reduce:bool ->
   ?jobs:int ->
   ?deadline_s:float ->
@@ -43,10 +42,10 @@ val run :
   report
 (** Race [engines] (default [Stubborn; Symbolic; Gpo] — the three
     reduced engines; add [Full] explicitly if wanted) on [net].
-    [max_states], [witness] and [gpo_scan] are forwarded to every
-    {!Engine.run}; [jobs] additionally lets the explicit and GPO
-    entrants use domain-parallel exploration inside their own race
-    lane.  [reduce] applies the structural reduction pipeline
+    [max_states] and [witness] are forwarded to every {!Engine.run}
+    (GPO races in its complete configuration); [jobs] additionally lets
+    the explicit and GPO entrants use domain-parallel exploration inside
+    their own race lane.  [reduce] applies the structural reduction pipeline
     ({!Reduce.run}) {e once}, before the race, so every entrant
     explores the same reduced net and the reduction counters count a
     single pipeline run; the winner's witness is lifted back to the

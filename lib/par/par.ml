@@ -55,6 +55,7 @@ module Pool = struct
   }
 
   let default_jobs () = Domain.recommended_domain_count ()
+  let resolve_jobs n = if n <= 0 then default_jobs () else n
 
   let size pool = pool.jobs
 

@@ -51,6 +51,10 @@ module Pool : sig
   val default_jobs : unit -> int
   (** [Domain.recommended_domain_count ()]. *)
 
+  val resolve_jobs : int -> int
+  (** The ["0 = auto"] worker-count convention of the CLI and the
+      service: [n] itself when positive, {!default_jobs} otherwise. *)
+
   val create : ?jobs:int -> unit -> t
   (** Spawn a pool of [jobs] workers (default {!default_jobs}; clamped
       to at least 1).  [jobs - 1] domains are spawned — the caller is

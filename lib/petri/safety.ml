@@ -10,7 +10,9 @@ let monitor (net : Net.t) property =
       if p < 0 || p >= net.n_places then
         invalid_arg "Safety.monitor: unknown place in cover")
     property.never_all;
-  let b = Builder.create (net.name ^ "+" ^ property.name) in
+  (* The name must survive the parser round trip: the service journals
+     monitored nets as text. *)
+  let b = Builder.create (net.name ^ "." ^ property.name) in
   let places =
     Array.init net.n_places (fun p ->
         Builder.place b

@@ -28,8 +28,8 @@ type property = {
 }
 
 val monitor : Net.t -> property -> Net.t
-(** [monitor net property] builds the transformed net described above.
-    Raises [Invalid_argument] if [never_all] is empty or mentions an
+(** [monitor net property] builds the transformed net described above,
+    named [<net name>.<property name>].  Raises [Invalid_argument] if [never_all] is empty or mentions an
     unknown place. *)
 
 val covers : property -> Bitset.t -> bool

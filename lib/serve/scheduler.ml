@@ -1,4 +1,5 @@
 module J = Gpo_obs.Json
+module Q = Harness.Query
 
 type t = {
   pool : Par.Pool.t;
@@ -24,7 +25,7 @@ let c_failed = Gpo_obs.Counter.make "serve.jobs.failed"
 let g_depth = Gpo_obs.Gauge.make "serve.queue.depth"
 
 let create ?(jobs = 1) ?(queue_limit = 64) () =
-  let jobs = if jobs <= 0 then Par.Pool.default_jobs () else jobs in
+  let jobs = Par.Pool.resolve_jobs jobs in
   let queue_limit = max 1 queue_limit in
   List.iter Gpo_obs.Counter.touch [ c_jobs; c_batches; c_rejected; c_deduped ];
   {
@@ -44,134 +45,39 @@ let shutdown t = Par.Pool.shutdown t.pool
 
 (* ------------------------------------------------------------------ *)
 (* Job preparation: everything that can be decided before a worker
-   domain touches the job — net resolution, property monitoring,
-   engine selection, and the content-addressed cache key.              *)
-
-type sel = Single of Harness.Engine.kind | Portfolio
-
-let sel_name = function
-  | Single k -> Harness.Engine.name k
-  | Portfolio -> "portfolio"
-
-let parse_sel = function
-  | "full" -> Ok (Single Harness.Engine.Full)
-  | "po" | "spin+po" | "stubborn" -> Ok (Single Harness.Engine.Stubborn)
-  | "smv" | "bdd" | "symbolic" -> Ok (Single Harness.Engine.Symbolic)
-  | "gpo" -> Ok (Single Harness.Engine.Gpo)
-  | "portfolio" -> Ok Portfolio
-  | s -> Error (Printf.sprintf "unknown engine %S" s)
-
-let resolve_net = function
-  | Protocol.Inline text -> (
-      match Petri.Parser.parse ~name:"net" text with
-      | Ok net -> Ok net
-      | Error e ->
-          Error (Format.asprintf "net: %a" Petri.Parser.pp_error e))
-  | Protocol.Model { id; size } -> (
-      match String.lowercase_ascii id with
-      | "fig1" -> Ok Models.Figures.fig1
-      | "fig2" -> Ok (Models.Figures.fig2 size)
-      | "fig3" -> Ok Models.Figures.fig3
-      | "fig5" -> Ok Models.Figures.fig5
-      | "fig7" -> Ok Models.Figures.fig7
-      | "scheduler" -> Ok (Models.Scheduler.make size)
-      | "random" -> Ok (Models.Random_net.generate size)
-      | id -> (
-          match Harness.Experiment.family id with
-          | fam -> Ok (fam.make size)
-          | exception Not_found ->
-              Error (Printf.sprintf "unknown model %S" id)))
+   domain touches the job — the question itself (see [Harness.Query])
+   and its content-addressed cache key.                                *)
 
 type prepared = {
   job : Protocol.job;
-  net : Petri.Net.t;  (** The net the client asked about. *)
-  target : Petri.Net.t;  (** What the engine runs on (monitored for safety). *)
-  property : Petri.Safety.property option;
-  sel : sel;
+  query : Q.t;
+  sel : Q.selection;
+  budgets : Q.budgets;
   key : Harness.Result_cache.key;
 }
 
-let canonical_property cover = "cover:" ^ String.concat "," cover
-
 let prepare (job : Protocol.job) =
-  match resolve_net job.net with
-  | Error msg -> Error msg
-  | Ok net -> (
-      match parse_sel job.engine with
-      | Error msg -> Error msg
-      | Ok sel -> (
-          let covered =
-            List.fold_right
-              (fun name acc ->
-                match acc with
-                | Error _ -> acc
-                | Ok places -> (
-                    match Petri.Net.place_index net name with
-                    | p -> Ok (p :: places)
-                    | exception Not_found ->
-                        Error (Printf.sprintf "unknown place %S" name)))
-              job.cover (Ok [])
-          in
-          match covered with
-          | Error msg -> Error msg
-          | Ok [] ->
-              let key =
-                Harness.Result_cache.key ~digest:(Petri.Net.digest net)
-                  ~engine:(sel_name sel) ~max_states:job.max_states
-                  ~witness:job.witness ~gpo_scan:true ~reduce:job.reduce ()
-              in
-              Ok { job; net; target = net; property = None; sel; key }
-          | Ok places ->
-              let property =
-                { Petri.Safety.name = "prop"; never_all = places }
-              in
-              let target = Petri.Safety.monitor net property in
-              let key =
-                Harness.Result_cache.key
-                  ~property:(canonical_property job.cover)
-                  ~digest:(Petri.Net.digest target) ~engine:(sel_name sel)
-                  ~max_states:job.max_states ~witness:job.witness
-                  ~gpo_scan:true ~reduce:job.reduce ()
-              in
-              Ok { job; net; target; property = Some property; sel; key }))
+  let ( let* ) = Result.bind in
+  let* sel = Q.selection_of_string job.engine in
+  let* query =
+    Q.prepare ~cover:job.cover
+      (match job.net with
+      | Protocol.Inline text -> Q.Inline text
+      | Protocol.Model { id; size } -> Q.Model { id; size })
+  in
+  let budgets =
+    {
+      Q.max_states = job.max_states;
+      jobs = job.jobs;
+      timeout_s = job.timeout_s;
+      mem_mb = job.mem_mb;
+    }
+  in
+  let key = Q.key ~witness:job.witness ~reduce:job.reduce budgets sel query in
+  Ok { job; query; sel; budgets; key }
 
 (* ------------------------------------------------------------------ *)
 (* Execution of one (unique) job on a worker domain                    *)
-
-(* The verdict service always runs GPO in its hardened configuration
-   (scan on): the verdict is the product, and the paper configuration
-   can miss deadlocks. *)
-let run_engine ?cancel (p : prepared) =
-  let job = p.job in
-  let jobs = if job.jobs <= 0 then Par.Pool.default_jobs () else job.jobs in
-  match p.sel with
-  | Single kind ->
-      let body guard =
-        Harness.Engine.run ~max_states:job.max_states ~witness:job.witness
-          ~gpo_scan:true ~reduce:job.reduce ~jobs ?cancel ?guard kind p.target
-      in
-      (match (job.timeout_s, job.mem_mb) with
-      | None, None -> body None
-      | _ ->
-          Guard.with_guard ?deadline_s:job.timeout_s ?mem_mb:job.mem_mb
-            (fun g -> body (Some g)))
-  | Portfolio ->
-      (* The portfolio owns its own cancel tokens (to stop the race
-         losers) and exposes no external one; a hard drain lets an
-         in-flight portfolio finish. *)
-      (Harness.Portfolio.run ~max_states:job.max_states ~witness:job.witness
-         ~gpo_scan:true ~reduce:job.reduce ~jobs ?deadline_s:job.timeout_s
-         ?mem_mb:job.mem_mb p.target)
-        .Harness.Portfolio.outcome
-
-let certify (p : prepared) (o : Harness.Engine.outcome) =
-  if o.Harness.Engine.deadlock && o.Harness.Engine.witness <> None then
-    Some
-      (Harness.Certify.certified
-         (match p.property with
-         | None -> Harness.Certify.deadlock p.net o
-         | Some prop -> Harness.Certify.safety p.net prop o))
-  else None
 
 let ok_result (p : prepared) ~cached (o : Harness.Engine.outcome) =
   {
@@ -179,7 +85,10 @@ let ok_result (p : prepared) ~cached (o : Harness.Engine.outcome) =
     status = Protocol.Ok;
     cached;
     deduped = false;
-    certified = certify p o;
+    certified =
+      (if o.Harness.Engine.deadlock && o.Harness.Engine.witness <> None then
+         Some (Harness.Certify.certified (Q.certify p.query o))
+       else None);
     report = Some (Harness.Report.json_of_outcome o);
     metrics = J.Null;
   }
@@ -209,14 +118,17 @@ let execute ?cancel (p : prepared) =
             try
               Guard.Fault.probe "serve.request";
               match
-                Harness.Result_cache.find ~verify_net:p.target p.key
+                Harness.Result_cache.find ~verify_net:p.query.target p.key
               with
               | Some outcome -> ok_result p ~cached:true outcome
               | None ->
-                  let outcome = run_engine ?cancel p in
+                  let outcome =
+                    Q.run ?cancel ~witness:p.job.witness ~reduce:p.job.reduce
+                      p.budgets p.sel p.query
+                  in
                   ignore
                     (Harness.Result_cache.store
-                       ~net_text:(Petri.Parser.to_string p.target)
+                       ~net_text:(Petri.Parser.to_string p.query.target)
                        p.key outcome
                       : bool);
                   ok_result p ~cached:false outcome
@@ -238,7 +150,8 @@ let execute ?cancel (p : prepared) =
 type slot =
   | Immediate of Protocol.job_result  (** Failed preparation. *)
   | Unique of prepared  (** First job with this cache key. *)
-  | Dup of int  (** Same question as the slot at this index. *)
+  | Dup of int * string
+      (** Same question as the slot at this index; this job's id. *)
 
 let submit t (batch : Protocol.job list) =
   let n = List.length batch in
@@ -285,19 +198,22 @@ let submit t (batch : Protocol.job list) =
                         match Hashtbl.find_opt seen k with
                         | Some first ->
                             Gpo_obs.Counter.incr c_deduped;
-                            Dup first
+                            Dup (first, job.id)
                         | None ->
                             Hashtbl.add seen k i;
                             Unique p))
                   batch
-                |> Array.of_list
               in
               let uniques =
-                Array.to_list slots
-                |> List.filter_map (function Unique p -> Some p | _ -> None)
+                List.concat
+                  (List.mapi
+                     (fun i -> function Unique p -> [ (i, p) ] | _ -> [])
+                     slots)
               in
               let executed =
-                Par.Pool.map t.pool (execute ~cancel:t.drain) uniques
+                Par.Pool.map t.pool
+                  (fun (_, p) -> execute ~cancel:t.drain p)
+                  uniques
               in
               (* Replay the workers' captured events to the shared sink
                  in batch order, so --metrics-out/--trace-out streams
@@ -305,40 +221,22 @@ let submit t (batch : Protocol.job list) =
               List.iter
                 (fun (_, events) -> Gpo_obs.Scoped.replay events)
                 executed;
-              let by_index : (int, Protocol.job_result) Hashtbl.t =
+              let answered : (int, Protocol.job_result) Hashtbl.t =
                 Hashtbl.create 16
               in
               List.iter2
-                (fun (p : prepared) (result, _) ->
-                  let i =
-                    Hashtbl.find seen (Harness.Result_cache.render p.key)
-                  in
-                  Hashtbl.replace by_index i result)
+                (fun (i, _) (result, _) -> Hashtbl.replace answered i result)
                 uniques executed;
-              let results =
-                Array.to_list
-                  (Array.mapi
-                     (fun i slot ->
-                       match slot with
-                       | Immediate r -> r
-                       | Unique _ -> Hashtbl.find by_index i
-                       | Dup first ->
-                           let src = Hashtbl.find by_index first in
-                           let id =
-                             match slots.(i) with
-                             | Dup _ -> (
-                                 match List.nth_opt batch i with
-                                 | Some j when j.Protocol.id <> "" ->
-                                     j.Protocol.id
-                                 | _ -> Printf.sprintf "job-%d" i)
-                             | _ -> assert false
-                           in
-                           {
-                             src with
-                             Protocol.id;
-                             deduped = true;
-                             metrics = Gpo_obs.summarize_events [];
-                           })
-                     slots)
-              in
-              Protocol.Results results))
+              Protocol.Results
+                (List.mapi
+                   (fun i -> function
+                     | Immediate r -> r
+                     | Unique _ -> Hashtbl.find answered i
+                     | Dup (first, id) ->
+                         {
+                           (Hashtbl.find answered first) with
+                           Protocol.id;
+                           deduped = true;
+                           metrics = Gpo_obs.summarize_events [];
+                         })
+                   slots)))

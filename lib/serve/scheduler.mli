@@ -27,9 +27,11 @@
     {b Isolation.}  Each job runs under its own {!Guard} (armed with
     the job's [timeout_s]/[mem_mb] in the worker domain that runs it),
     its telemetry is captured with {!Gpo_obs.Scoped} and attached to
-    the result as a JSON summary, and a failure — parse error, injected
-    fault ({!Guard.Fault} probes [serve.request]), allocator death — is
-    contained to that job's [Failed] status.  Faulted or truncated runs
+    the result as a JSON summary, and a failure — bad input rejected by
+    {!Harness.Query.prepare} (parse error, unknown model, place or
+    engine, a size the model rejects), injected fault ({!Guard.Fault}
+    probes [serve.request]), allocator death — is contained to that
+    job's [Failed] status.  Faulted or truncated runs
     are never stored in the result cache. *)
 
 type t

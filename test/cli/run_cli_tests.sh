@@ -49,6 +49,20 @@ expect 0 "analyze clears the overtake protocol" -- analyze -m over -n 3
 expect 2 "analyze rejects an unknown model" -- analyze -m no-such-model
 expect 2 "analyze with no net is a usage error" -- analyze
 
+# Bad input is a usage error with a message, never an uncaught
+# exception (exit 125).
+expect 2 "a size the model rejects is a usage error" -- certify -m asat -n 6
+expect_out "power of two" "the model's complaint is printed"
+expect 2 "an empty figure is a usage error" -- analyze -m fig2 -n 0
+expect 2 "an unknown place is a usage error" -- \
+  safety -m nsdp -n 3 -p nosuch
+expect_out "unknown place" "the unknown place is named"
+
+# Regression: analyze runs GPO in its complete configuration.  The
+# paper configuration misses this net's deadlock.
+expect 1 "gpo finds the deadlock of random net 1" -- \
+  analyze -m random -n 1 -e gpo
+
 # Regression: a truncated exploration that found nothing must be
 # reported as inconclusive (exit 2), never as a clean "no deadlock".
 expect 2 "truncated clean run is inconclusive" -- \
@@ -259,6 +273,14 @@ else
     submit --socket "$sock" -m asat -n 4 -e full --max-states 50
   expect 2 "an unknown model fails that job only" -- \
     submit --socket "$sock" -m no-such-model
+  for bad in asat:6 nsdp:1 rw:1 over:1; do
+    model="${bad%:*}" size="${bad#*:}"
+    expect 2 "a size the model rejects fails that job only ($model $size)" -- \
+      submit --socket "$sock" -m "$model" -n "$size"
+    expect_out "failed:" "the failed job carries its reason ($model $size)"
+  done
+  expect 0 "the daemon keeps serving after bad jobs" -- \
+    submit --socket "$sock" -m over -n 3
   expect 0 "submit --stats returns the cache stats" -- \
     submit --socket "$sock" --stats
   expect_out "serve.cache.hit" "stats carry the cache counters"

@@ -122,12 +122,70 @@ let test_stubborn_subset_of_enabled () =
   done
 
 let test_gpo_metric_is_paper_configuration () =
-  (* Engine.Gpo must report the paper-faithful (scan-free) counts. *)
-  let net = Models.Over.make 4 in
+  (* Table 1 reports the paper-faithful (scan-free) GPO counts; every
+     other caller of Engine.run gets the complete configuration. *)
+  let fam = Harness.Experiment.family "over" in
+  let m = Harness.Experiment.measure ~engines:[ Harness.Engine.Gpo ] fam 4 in
+  let o = List.hd m.Harness.Experiment.outcomes in
+  let direct = Gpn.Explorer.analyse ~scan:false (fam.make 4) in
+  Alcotest.(check (float 0.0)) "table1 states match scan:false"
+    (float_of_int direct.Gpn.Explorer.states) o.Harness.Engine.metric;
+  let net = fam.make 4 in
   let o = Harness.Engine.run Harness.Engine.Gpo net in
-  let direct = Gpn.Explorer.analyse ~scan:false net in
-  Alcotest.(check (float 0.0)) "states match scan:false"
-    (float_of_int direct.Gpn.Explorer.states) o.Harness.Engine.metric
+  let scan = Gpn.Explorer.analyse ~scan:true net in
+  Alcotest.(check (float 0.0)) "default states match scan:true"
+    (float_of_int scan.Gpn.Explorer.states) o.Harness.Engine.metric
+
+(* Harness.Query: every bad input is an [Error], never an exception. *)
+
+module Q = Harness.Query
+
+let test_query_bad_inputs () =
+  let rejects what r =
+    match r with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+    | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+  in
+  let model id size = Q.Model { id; size } in
+  List.iter
+    (fun (id, size) ->
+      rejects (Printf.sprintf "%s %d" id size) (Q.prepare (model id size)))
+    [ ("asat", 6); ("fig2", 0); ("nsdp", 1); ("rw", 1); ("over", 1);
+      ("scheduler", 1); ("no-such-model", 4) ];
+  rejects "unknown place" (Q.prepare ~cover:[ "nosuch" ] (model "nsdp" 3));
+  rejects "malformed inline net" (Q.prepare (Q.Inline "pl p (1\n"));
+  rejects "missing file" (Q.prepare (Q.File "/nonexistent/net.net"));
+  rejects "unknown engine" (Q.selection_of_string "bogus");
+  List.iter
+    (fun sel ->
+      Alcotest.(check bool)
+        (Q.selection_name sel ^ " parses back")
+        true
+        (Q.selection_of_string (Q.selection_name sel) = Ok sel))
+    (Q.Portfolio :: List.map (fun k -> Q.Single k) Harness.Engine.all)
+
+(* Regression: the paper configuration misses the deadlock of random
+   net 1; the query pipeline (and the Engine.run default) finds it. *)
+let test_query_default_is_complete () =
+  let net = Models.Random_net.generate 1 in
+  let paper = Harness.Engine.run ~gpo_scan:false Harness.Engine.Gpo net in
+  Alcotest.(check bool) "paper configuration misses it" false
+    paper.Harness.Engine.deadlock;
+  let q =
+    match Q.prepare (Q.Model { id = "random"; size = 1 }) with
+    | Ok q -> q
+    | Error msg -> Alcotest.fail msg
+  in
+  let budgets =
+    { Q.max_states = 5_000_000; jobs = 1; timeout_s = None; mem_mb = None }
+  in
+  let o =
+    Q.run ~witness:true ~reduce:false budgets (Q.Single Harness.Engine.Gpo) q
+  in
+  Alcotest.(check bool) "the query finds it" true o.Harness.Engine.deadlock;
+  Alcotest.(check bool) "and certifies it" true
+    (Harness.Certify.certified (Q.certify q o))
 
 let suite =
   [
@@ -141,4 +199,8 @@ let suite =
     Alcotest.test_case "stubborn ⊆ enabled" `Quick test_stubborn_subset_of_enabled;
     Alcotest.test_case "gpo metric configuration" `Quick
       test_gpo_metric_is_paper_configuration;
+    Alcotest.test_case "query: bad inputs are errors" `Quick
+      test_query_bad_inputs;
+    Alcotest.test_case "query: gpo runs the complete configuration" `Quick
+      test_query_default_is_complete;
   ]

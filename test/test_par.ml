@@ -363,7 +363,7 @@ let portfolio_matches_truth () =
         (Petri.Reachability.explore net).deadlock_count > 0
       in
       Gpo_obs.reset ();
-      let r = Harness.Portfolio.run ~witness:true ~gpo_scan:true net in
+      let r = Harness.Portfolio.run ~witness:true net in
       Alcotest.(check bool)
         (net.name ^ ": portfolio verdict = exhaustive truth")
         truth r.outcome.E.deadlock;

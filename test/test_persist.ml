@@ -392,6 +392,39 @@ let test_compaction_threshold () =
     r.RC.recovered;
   check_served f
 
+(* A cover-property entry is journaled with its monitored net; the
+   monitor's name must re-parse, or recovery would drop every such
+   record. *)
+let test_cover_property_recovers () =
+  with_cache_dir @@ fun dir ->
+  let module Q = Harness.Query in
+  let q =
+    match
+      Q.prepare ~cover:[ "gotL.0"; "gotL.1" ] (Q.Model { id = "nsdp"; size = 2 })
+    with
+    | Ok q -> q
+    | Error msg -> Alcotest.fail msg
+  in
+  let budgets =
+    { Q.max_states = 200_000; jobs = 1; timeout_s = None; mem_mb = None }
+  in
+  let sel = Q.Single Harness.Engine.Gpo in
+  let key = Q.key ~witness:true ~reduce:false budgets sel q in
+  let outcome = Q.run ~witness:true ~reduce:false budgets sel q in
+  Alcotest.(check bool) "the cover is reachable" true
+    outcome.Harness.Engine.deadlock;
+  ignore (attach_ok dir);
+  Alcotest.(check bool) "store accepted" true
+    (RC.store ~net_text:(Petri.Parser.to_string q.target) key outcome);
+  let r = restart dir in
+  Alcotest.(check int) "the cover-property entry recovers" 1 r.RC.recovered;
+  Alcotest.(check int) "nothing rejected" 0 r.RC.rejected;
+  match RC.find ~verify_net:q.target key with
+  | None -> Alcotest.fail "recovered entry missing"
+  | Some o ->
+      Alcotest.(check bool) "the recovered hit certifies" true
+        (Harness.Certify.certified (Q.certify q o))
+
 let suite =
   [
     Alcotest.test_case "recovery roundtrip is byte-identical" `Quick
@@ -410,4 +443,6 @@ let suite =
       test_fault_probes_contained;
     Alcotest.test_case "compaction threshold bounds the file" `Quick
       test_compaction_threshold;
+    Alcotest.test_case "cover-property entries survive restart" `Quick
+      test_cover_property_recovers;
   ]

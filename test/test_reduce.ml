@@ -76,8 +76,7 @@ let check_pipeline ~label net =
           check_outcome (E.name kind) reduced)
         E.all;
       let r =
-        Harness.Portfolio.run ~max_states ~witness:true ~gpo_scan:true
-          ~reduce:true net
+        Harness.Portfolio.run ~max_states ~witness:true ~reduce:true net
       in
       check_outcome "portfolio" r.Harness.Portfolio.outcome
 

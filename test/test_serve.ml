@@ -476,10 +476,10 @@ let test_verdict_mapping () =
 (* ------------------------------------------------------------------ *)
 (* The daemon over a real socket                                       *)
 
-let test_server_over_socket () =
+let with_server name f =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "julie-test-%d.sock" (Unix.getpid ()))
+      (Printf.sprintf "julie-test-%s-%d.sock" name (Unix.getpid ()))
   in
   let endpoint = Serve.Server.Unix_path path in
   let server =
@@ -494,38 +494,80 @@ let test_server_over_socket () =
     (fun () ->
       Alcotest.(check bool) "server comes up" true
         (Serve.Client.wait_ready endpoint);
-      let job = P.job ~engine:"gpo" (P.Model { id = "fig2"; size = 5 }) in
-      let miss =
-        match Serve.Client.submit endpoint [ job ] with
-        | Ok (P.Results [ r ]) -> r
-        | Ok _ -> Alcotest.fail "expected one result"
-        | Error f -> Alcotest.failf "submit: %s" (Serve.Client.describe_failure f)
-      in
-      check_ok miss;
-      Alcotest.(check bool) "first request misses" false miss.P.cached;
-      let hit =
-        match Serve.Client.submit endpoint [ job ] with
-        | Ok (P.Results [ r ]) -> r
-        | Ok _ -> Alcotest.fail "expected one result"
-        | Error f -> Alcotest.failf "submit: %s" (Serve.Client.describe_failure f)
-      in
-      check_ok hit;
-      Alcotest.(check bool) "second request hits over the wire" true
-        hit.P.cached;
-      Alcotest.(check string) "wire hit report is byte-identical"
-        (report_string miss) (report_string hit);
-      (* Per-request metrics rode back in the response. *)
-      (match J.member "events" hit.P.metrics with
-      | Some (J.Int n) ->
-          Alcotest.(check bool) "request emitted events" true (n > 0)
-      | _ -> Alcotest.fail "metrics summary missing from the response");
-      match Serve.Client.stats endpoint with
-      | Ok (P.Stats_reply stats) ->
-          let cache = J.member "cache" stats in
-          Alcotest.(check bool) "stats reply lists the cache" true
-            (cache <> None)
-      | Ok _ -> Alcotest.fail "expected stats reply"
-      | Error f -> Alcotest.failf "stats: %s" (Serve.Client.describe_failure f))
+      f endpoint)
+
+let test_server_over_socket () =
+  with_server "socket" @@ fun endpoint ->
+  let job = P.job ~engine:"gpo" (P.Model { id = "fig2"; size = 5 }) in
+  let miss =
+    match Serve.Client.submit endpoint [ job ] with
+    | Ok (P.Results [ r ]) -> r
+    | Ok _ -> Alcotest.fail "expected one result"
+    | Error f -> Alcotest.failf "submit: %s" (Serve.Client.describe_failure f)
+  in
+  check_ok miss;
+  Alcotest.(check bool) "first request misses" false miss.P.cached;
+  let hit =
+    match Serve.Client.submit endpoint [ job ] with
+    | Ok (P.Results [ r ]) -> r
+    | Ok _ -> Alcotest.fail "expected one result"
+    | Error f -> Alcotest.failf "submit: %s" (Serve.Client.describe_failure f)
+  in
+  check_ok hit;
+  Alcotest.(check bool) "second request hits over the wire" true
+    hit.P.cached;
+  Alcotest.(check string) "wire hit report is byte-identical"
+    (report_string miss) (report_string hit);
+  (* Per-request metrics rode back in the response. *)
+  (match J.member "events" hit.P.metrics with
+  | Some (J.Int n) ->
+      Alcotest.(check bool) "request emitted events" true (n > 0)
+  | _ -> Alcotest.fail "metrics summary missing from the response");
+  match Serve.Client.stats endpoint with
+  | Ok (P.Stats_reply stats) ->
+      let cache = J.member "cache" stats in
+      Alcotest.(check bool) "stats reply lists the cache" true
+        (cache <> None)
+  | Ok _ -> Alcotest.fail "expected stats reply"
+  | Error f -> Alcotest.failf "stats: %s" (Serve.Client.describe_failure f)
+
+(* Sizes the model constructors reject, an unknown place and an unknown
+   engine fail their own job; the good question in the same batch is
+   answered and the daemon keeps serving. *)
+let test_bad_jobs_keep_daemon_alive () =
+  with_server "bad" @@ fun endpoint ->
+  let model id size = P.Model { id; size } in
+  let bad =
+    [
+      P.job (model "asat" 6);
+      P.job (model "nsdp" 1);
+      P.job (model "rw" 1);
+      P.job (model "over" 1);
+      P.job (model "fig2" 0);
+      P.job ~cover:[ "nosuch" ] (model "nsdp" 3);
+      P.job ~engine:"bogus" (model "nsdp" 3);
+    ]
+  in
+  let good = P.job (model "nsdp" 3) in
+  (match Serve.Client.submit endpoint (bad @ [ good ]) with
+  | Ok (P.Results rs) ->
+      Alcotest.(check int) "every job answered" (List.length bad + 1)
+        (List.length rs);
+      List.iteri
+        (fun i (r : P.job_result) ->
+          match r.status with
+          | P.Failed _ when i < List.length bad -> ()
+          | P.Ok when i = List.length bad ->
+              Alcotest.(check (option bool)) "good job certified" (Some true)
+                r.certified
+          | _ -> Alcotest.failf "job %s: wrong status" r.id)
+        rs
+  | Ok _ -> Alcotest.fail "expected results"
+  | Error f -> Alcotest.failf "submit: %s" (Serve.Client.describe_failure f));
+  match Serve.Client.ping endpoint with
+  | Ok P.Pong -> ()
+  | Ok _ -> Alcotest.fail "expected pong"
+  | Error f -> Alcotest.failf "ping: %s" (Serve.Client.describe_failure f)
 
 (* ------------------------------------------------------------------ *)
 (* Frame codec under hostile input                                     *)
@@ -772,6 +814,8 @@ let suite =
       `Quick test_verdict_mapping;
     Alcotest.test_case "daemon serves cache hits over a Unix socket" `Quick
       test_server_over_socket;
+    Alcotest.test_case "bad jobs fail alone, the daemon keeps serving" `Quick
+      test_bad_jobs_keep_daemon_alive;
     Alcotest.test_case "frame: clean EOF" `Quick test_frame_clean_eof;
     Alcotest.test_case "frame: truncated header is typed" `Quick
       test_frame_truncated_header;

@@ -17,43 +17,24 @@ open Cmdliner
 
 (* Exit codes (PROVE-style, so the CLI is scriptable):
      0 — the property holds / no deadlock found;
-     1 — a deadlock or safety violation was found;
+     1 — a certified deadlock or safety violation was found;
      2 — usage error (bad net source, bad arguments), or an
          indeterminate verdict: the exploration stopped early (state
          budget, --timeout deadline, --mem-mb memory budget,
          cancellation) before the space was covered, or a claimed
          violation failed certification.  A stopped exploration that
-         found nothing is NOT a clean "no deadlock". *)
-let exit_holds = 0
-let exit_violated = 1
+         found nothing is NOT a clean "no deadlock".
+   Every verdict command takes its code from [Harness.Query.exit_code]. *)
+let exit_ok = 0
 let exit_usage = 2
-let exit_indeterminate = 2
 
 let verdict_exits =
-  Cmd.Exit.info exit_holds ~doc:"the net is deadlock free / the property holds."
-  :: Cmd.Exit.info exit_violated ~doc:"a deadlock or property violation was found."
+  Cmd.Exit.info 0 ~doc:"the net is deadlock free / the property holds."
+  :: Cmd.Exit.info 1 ~doc:"a certified deadlock or property violation was found."
   :: Cmd.Exit.info exit_usage
        ~doc:"usage error (bad net source or arguments), or an indeterminate \
              verdict (state budget exhausted, certification failed)."
   :: Cmd.Exit.defaults
-
-let inconclusive ?(stop = Guard.State_budget) () =
-  Format.printf "inconclusive: %s before the state space was covered%s@."
-    (Guard.describe_stop stop)
-    (match stop with
-    | Guard.State_budget -> " (raise --max-states)"
-    | Guard.Deadline -> " (raise --timeout)"
-    | Guard.Memory -> " (raise --mem-mb)"
-    | _ -> "");
-  exit_indeterminate
-
-(* The stop reason to blame an `Inconclusive verdict on: the first
-   outcome that stopped short of completion. *)
-let first_stop outcomes =
-  List.find_map
-    (fun (o : Harness.Engine.outcome) ->
-      if Harness.Engine.truncated o then Some o.stop else None)
-    outcomes
 
 (* Wrap a command body so our own [failwith]s (and unreadable files)
    become exit code 2. *)
@@ -183,17 +164,13 @@ let selection_conv =
     ( (fun s -> Result.map_error (fun m -> `Msg m) (Q.selection_of_string s)),
       fun ppf sel -> Format.pp_print_string ppf (Q.selection_name sel) )
 
-let engines_arg =
+let engines_arg default =
   let doc =
     "Engine to run: full, po, smv, gpo, or portfolio (race the engines in \
-     separate domains, first conclusive verdict wins).  Repeatable; default \
-     all four single engines."
+     separate domains, first conclusive verdict wins).  Repeatable; default "
+    ^ default ^ "."
   in
   Arg.(value & opt_all selection_conv [] & info [ "e"; "engine" ] ~docv:"ENGINE" ~doc)
-
-let all_engines = function
-  | [] -> List.map (fun k -> Q.Single k) Harness.Engine.all
-  | engines -> engines
 
 (* ------------------------------------------------------------------ *)
 (* Budgets and resource governance (shared by the verdict commands)    *)
@@ -235,14 +212,6 @@ let budgets_term max_states =
             { Q.max_states; jobs; timeout_s; mem_mb })
         $ max_states $ jobs_arg $ timeout_arg $ mem_mb_arg)
 
-let witness_arg =
-  let doc =
-    "Attach a counterexample witness to every deadlock verdict: a firing \
-     sequence from the initial marking to the dead marking, certified by an \
-     independent replay check."
-  in
-  Arg.(value & flag & info [ "w"; "witness" ] ~doc)
-
 let reduce_term =
   let reduce =
     Arg.(value & flag
@@ -278,12 +247,12 @@ let pp_race (r : Harness.Portfolio.report) =
 
 (* One instrumented run of [sel] on the prepared question: telemetry is
    reset so the summary and the emitted totals cover exactly this run. *)
-let observed_run obs ~witness ~reduce budgets (q : Q.t) sel =
+let observed_run obs ~reduce budgets (q : Q.t) sel =
   let engine = Gpo_obs.S (Q.selection_name sel) in
   Gpo_obs.reset ();
   Gpo_obs.meta "run"
     [ ("net", Gpo_obs.S q.target.Petri.Net.name); ("engine", engine) ];
-  let outcome = Q.run ~on_race:pp_race ~witness ~reduce budgets sel q in
+  let outcome = Q.run ~on_race:pp_race ~witness:true ~reduce budgets sel q in
   Gpo_obs.meta "outcome"
     [
       ("engine", engine);
@@ -294,95 +263,131 @@ let observed_run obs ~witness ~reduce budgets (q : Q.t) sel =
   if obs.stats then Format.printf "%a@." Gpo_obs.pp_summary (Gpo_obs.snapshot ());
   outcome
 
-let size_unit (o : Harness.Engine.outcome) =
-  match o.kind with Harness.Engine.Symbolic -> "peak nodes" | _ -> "states"
-
 (* ------------------------------------------------------------------ *)
-(* analyze                                                             *)
+(* Verdict commands: analyze, trace, safety, certify                   *)
 
-let analyze source engines budgets witness reduce obs =
+(* How a command prints a certified witness. *)
+type render =
+  | Certificate  (* the witness and its certificate block *)
+  | Replay  (* the step-by-step replay *)
+  | Scenario  (* the scenario marking the cover *)
+
+let pp_answer render (q : Q.t) cover (o : Harness.Engine.outcome) = function
+  | Harness.Certify.Certified { trace; _ } as certificate -> (
+      match render with
+      | Certificate ->
+          Format.printf "  %a@." (Harness.Certify.pp q.net) certificate
+      | Replay ->
+          Format.printf "@[<v>deadlock reached by:@ %a@ @ %a@]@."
+            (Petri.Trace.pp q.net) trace (Petri.Trace.pp_replay q.net) trace
+      | Scenario ->
+          Format.printf
+            "VIOLATED: {%s} can be marked simultaneously@.scenario \
+             (certified): %a@."
+            (String.concat ", " cover) (Petri.Trace.pp q.net) trace)
+  | Harness.Certify.Rejected _ as certificate ->
+      Format.printf "  %a@." (Harness.Certify.pp q.net) certificate
+  | Harness.Certify.Inconclusive ->
+      Format.printf "  inconclusive: %s before the state space was covered%s@."
+        (Guard.describe_stop o.stop)
+        (match o.stop with
+        | Guard.State_budget -> " (raise --max-states)"
+        | Guard.Deadline -> " (raise --timeout)"
+        | Guard.Memory -> " (raise --mem-mb)"
+        | _ -> "")
+  | Harness.Certify.Clean -> (
+      match cover with
+      | [] -> Format.printf "  holds: deadlock free@."
+      | _ ->
+          Format.printf "  holds: {%s} never marked simultaneously@."
+            (String.concat ", " cover))
+
+(* The one command body: run every selected engine with witnesses,
+   classify each outcome through [Harness.Query], fold the exit code. *)
+let verdict_command render default source engines budgets cover reduce obs =
   usage_checked @@ fun () ->
-  let q = or_usage (Result.bind source Q.prepare) in
-  let net = q.net in
-  Format.printf "%a@." Petri.Net.pp_summary net;
-  if reduce then pp_reduction net;
+  let q = or_usage (Result.bind source (Q.prepare ~cover)) in
+  Format.printf "%a@." Petri.Net.pp_summary q.net;
+  (* The engines of a cover question see the monitored net, so that is
+     what reduction shrinks; [Q.classify] projects the lifted witness
+     back to the original net. *)
+  if reduce then pp_reduction q.target;
   with_obs obs @@ fun () ->
-  let outcomes =
+  let verdicts =
     List.map
       (fun sel ->
-        let o = observed_run obs ~witness ~reduce budgets q sel in
+        let o = observed_run obs ~reduce budgets q sel in
         Format.printf "%a@." Harness.Engine.pp_outcome o;
-        (match o.Harness.Engine.witness with
-        | Some tr ->
-            Format.printf "  witness: %a@." (Petri.Trace.pp net) tr;
-            Format.printf "  %a@." (Harness.Certify.pp net) (Q.certify q o)
-        | None -> ());
-        o)
-      (all_engines engines)
+        let certificate, verdict = Q.classify q o in
+        pp_answer render q cover o certificate;
+        verdict)
+      (match engines with [] -> default | _ -> engines)
   in
-  match Harness.Certify.conclusion outcomes with
-  | `Violated -> exit_violated
-  | `Holds -> exit_holds
-  | `Inconclusive -> inconclusive ?stop:(first_stop outcomes) ()
+  Q.exit_code verdicts
+
+let gpo_only = ([ Q.Single Harness.Engine.Gpo ], "gpo")
+
+let all_four =
+  (List.map (fun k -> Q.Single k) Harness.Engine.all, "all four single engines")
+
+let place_arg doc =
+  Arg.(opt_all string [] & info [ "p"; "place" ] ~docv:"PLACE" ~doc)
+
+let no_obs =
+  { stats = false; metrics_out = None; trace_out = None; progress = false }
+
+let verdict_cmd name ~doc ~render ~default:(default, default_doc) ~cover
+    ~max_states ~obs =
+  Cmd.v
+    (Cmd.info name ~exits:verdict_exits ~doc)
+    Term.(const (verdict_command render default) $ source_term
+          $ engines_arg default_doc $ budgets_term max_states $ cover
+          $ reduce_term $ obs)
 
 let analyze_cmd =
-  let info =
-    Cmd.info "analyze" ~exits:verdict_exits
-      ~doc:"Check a net for deadlock with the chosen engines.  Exits with 0 \
-            when every engine reports the net deadlock free, 1 when a \
-            deadlock is found, 2 on usage errors or when every clean report \
-            came from a truncated exploration (inconclusive)."
-  in
-  Cmd.v info
-    Term.(const analyze $ source_term $ engines_arg $ budgets_term max_states_arg
-          $ witness_arg $ reduce_term $ obs_term)
-
-(* ------------------------------------------------------------------ *)
-(* trace                                                               *)
-
-let trace source sel budgets reduce =
-  usage_checked @@ fun () ->
-  let q = or_usage (Result.bind source Q.prepare) in
-  let net = q.net in
-  if reduce then pp_reduction net;
-  let o = Q.run ~witness:true ~reduce budgets sel q in
-  match o.Harness.Engine.witness with
-  | Some tr ->
-      Format.printf "@[<v>deadlock reached by:@ %a@ @ %a@]@." (Petri.Trace.pp net) tr
-        (Petri.Trace.pp_replay net) tr;
-      exit_violated
-  | None ->
-      if o.Harness.Engine.deadlock then begin
-        (* An engine claiming a deadlock must produce a witness; treat a
-           missing one as an internal failure, not a verdict. *)
-        Format.eprintf "julie: %s reported a deadlock without a witness@."
-          (Q.selection_name sel);
-        exit_indeterminate
-      end
-      else if Harness.Engine.truncated o then
-        inconclusive ~stop:o.Harness.Engine.stop ()
-      else begin
-        Format.printf "deadlock free (%s engine, %.0f %s)@."
-          (Harness.Engine.name o.Harness.Engine.kind)
-          o.Harness.Engine.metric (size_unit o);
-        exit_holds
-      end
+  verdict_cmd "analyze" ~render:Certificate ~default:all_four
+    ~cover:(Term.const []) ~max_states:max_states_arg ~obs:obs_term
+    ~doc:"Check a net for deadlock with the chosen engines; every deadlock \
+          ships a witness checked by an independent replay.  Exits with 0 \
+          when every engine reports the net deadlock free, 1 when a \
+          certified deadlock is found, 2 on usage errors, when a clean \
+          report came from a truncated exploration (inconclusive), or when \
+          a claimed deadlock fails certification."
 
 let trace_cmd =
-  let engine =
-    Arg.(value & opt selection_conv (Q.Single Harness.Engine.Gpo)
-         & info [ "e"; "engine" ] ~docv:"ENGINE"
-             ~doc:"Engine reconstructing the witness: full, po, smv, gpo or \
-                   portfolio.")
-  in
-  let info =
-    Cmd.info "trace" ~exits:verdict_exits
-      ~doc:"Print a firing sequence reaching a deadlock, reconstructed by the \
-            chosen engine (default gpo) and replayed step by step."
-  in
-  Cmd.v info
-    Term.(const trace $ source_term $ engine $ budgets_term max_states_arg
-          $ reduce_term)
+  verdict_cmd "trace" ~render:Replay ~default:gpo_only ~cover:(Term.const [])
+    ~max_states:max_states_arg ~obs:(Term.const no_obs)
+    ~doc:"Print a firing sequence reaching a deadlock, reconstructed by the \
+          chosen engine (default gpo), certified, and replayed step by step."
+
+let safety_cmd =
+  verdict_cmd "safety" ~render:Scenario ~default:gpo_only
+    ~cover:
+      Arg.(non_empty
+           & place_arg
+               "Place of the cover to check (repeatable, required): the \
+                property is that all given places are never marked at once.")
+    ~max_states:(Term.const 5_000_000) ~obs:obs_term
+    ~doc:"Check a coverability safety property by reduction to deadlock.  \
+          Exits with 0 when the property holds, 1 when a certified \
+          violation is found, 2 on usage errors, inconclusive runs or \
+          failed certification."
+
+let certify_cmd =
+  verdict_cmd "certify" ~render:Certificate ~default:all_four
+    ~cover:
+      Arg.(value
+           & place_arg
+               "Certify a safety property instead of deadlock freedom: the \
+                places given (repeatable) must never be marked at once.")
+    ~max_states:max_states_arg ~obs:obs_term
+    ~doc:"Run the chosen engines with witnesses and check every violation \
+          verdict independently: the witness is replayed step by step \
+          against the net semantics and its final marking is confirmed \
+          dead (or, with $(b,--place), to cover the bad places on the \
+          original net).  Exits 0 when the property holds, 1 when a \
+          certified violation exists, 2 when inconclusive or when a \
+          claimed violation fails certification."
 
 (* ------------------------------------------------------------------ *)
 (* table1 / fig                                                        *)
@@ -392,7 +397,7 @@ let table1 budget =
     Harness.Experiment.table1 ~max_states:5_000_000 ~full_budget:budget ()
   in
   Format.printf "%a@." Harness.Experiment.pp_table1 measurements;
-  exit_holds
+  exit_ok
 
 let table1_cmd =
   let budget =
@@ -413,7 +418,7 @@ let fig which max_n =
       Format.printf "%a@." Harness.Experiment.pp_fig2
         (Harness.Experiment.fig2_series ~max_n ())
   | s -> failwith (Printf.sprintf "unknown figure %S (expected fig1 or fig2)" s));
-  exit_holds
+  exit_ok
 
 let fig_cmd =
   let which =
@@ -442,7 +447,7 @@ let dot source graph gpo_graph output =
   | Some path ->
       Petri.Dot.write path contents;
       Format.printf "wrote %s@." path);
-  exit_holds
+  exit_ok
 
 let dot_cmd =
   let graph =
@@ -461,117 +466,6 @@ let dot_cmd =
   Cmd.v info Term.(const dot $ source_term $ graph $ gpo_graph $ output)
 
 (* ------------------------------------------------------------------ *)
-(* safety                                                              *)
-
-let safety source cover sel budgets reduce obs =
-  usage_checked @@ fun () ->
-  if cover = [] then failwith "--place PLACE (repeatable) is required";
-  let q = or_usage (Result.bind source (Q.prepare ~cover)) in
-  let net = q.net in
-  (* The engines see the monitored net, so that is what the reduction
-     pipeline shrinks (as a deadlock query — the monitor has already
-     turned coverability into deadlock); the lifted witness comes back
-     in monitored-net indices and [Q.certify] projects it. *)
-  if reduce then pp_reduction q.target;
-  with_obs obs @@ fun () ->
-  let outcome = observed_run obs ~witness:true ~reduce budgets q sel in
-  if outcome.Harness.Engine.deadlock then begin
-    Format.printf "VIOLATED: {%s} can be marked simultaneously@."
-      (String.concat ", " cover);
-    (* The engine's witness (on the monitored net), projected back to
-       the original net and certified; fall back to a direct search if
-       certification fails. *)
-    (match (Q.certify q outcome, q.property) with
-    | Harness.Certify.Certified { trace; _ }, _ ->
-        Format.printf "scenario (certified): %a@." (Petri.Trace.pp net) trace
-    | _, Some property -> (
-        match Petri.Safety.covering_marking net property with
-        | Some trace -> Format.printf "scenario: %a@." (Petri.Trace.pp net) trace
-        | None -> ())
-    | _, None -> ());
-    exit_violated
-  end
-  else if Harness.Engine.truncated outcome then
-    inconclusive ~stop:outcome.Harness.Engine.stop ()
-  else begin
-    Format.printf "holds: {%s} never marked simultaneously (%s engine, %.0f %s)@."
-      (String.concat ", " cover)
-      (Harness.Engine.name outcome.Harness.Engine.kind)
-      outcome.Harness.Engine.metric (size_unit outcome);
-    exit_holds
-  end
-
-let safety_cmd =
-  let cover =
-    Arg.(value & opt_all string [] & info [ "p"; "place" ] ~docv:"PLACE"
-           ~doc:"Place of the cover to check (repeatable): the property is                  that all given places are never marked at once.")
-  in
-  let engine =
-    Arg.(value & opt selection_conv (Q.Single Harness.Engine.Gpo)
-           & info [ "e"; "engine" ] ~docv:"ENGINE"
-               ~doc:"Engine for the deadlock check (or portfolio).")
-  in
-  let info =
-    Cmd.info "safety" ~exits:verdict_exits
-      ~doc:"Check a coverability safety property by reduction to deadlock.  \
-            Exits with 0 when the property holds, 1 when it is violated, 2 \
-            on usage errors."
-  in
-  Cmd.v info
-    Term.(const safety $ source_term $ cover $ engine
-          $ budgets_term (const 5_000_000) $ reduce_term $ obs_term)
-
-(* ------------------------------------------------------------------ *)
-(* certify                                                             *)
-
-let certify source engines budgets cover reduce obs =
-  usage_checked @@ fun () ->
-  let q = or_usage (Result.bind source (Q.prepare ~cover)) in
-  let net = q.net in
-  if reduce then pp_reduction q.target;
-  with_obs obs @@ fun () ->
-  let results =
-    List.map
-      (fun sel ->
-        let o = observed_run obs ~witness:true ~reduce budgets q sel in
-        let v = Q.certify q o in
-        Format.printf "@[<v 2>%-8s %a@]@." (Q.selection_name sel)
-          (Harness.Certify.pp net) v;
-        (o, v))
-      (all_engines engines)
-  in
-  let verdicts = List.map snd results in
-  let any p = List.exists p verdicts in
-  if any (function Harness.Certify.Rejected _ -> true | _ -> false) then begin
-    Format.printf "CERTIFICATION FAILED: a claimed violation did not check out@.";
-    exit_indeterminate
-  end
-  else if any Harness.Certify.certified then exit_violated
-  else if any (function Harness.Certify.Inconclusive -> true | _ -> false) then
-    inconclusive ?stop:(first_stop (List.map fst results)) ()
-  else exit_holds
-
-let certify_cmd =
-  let cover =
-    Arg.(value & opt_all string [] & info [ "p"; "place" ] ~docv:"PLACE"
-           ~doc:"Certify a safety property instead of deadlock freedom: the \
-                 places given (repeatable) must never be marked at once.")
-  in
-  let info =
-    Cmd.info "certify" ~exits:verdict_exits
-      ~doc:"Run the chosen engines with witnesses and check every violation \
-            verdict independently: the witness is replayed step by step \
-            against the net semantics and its final marking is confirmed \
-            dead (or, with $(b,--place), to cover the bad places on the \
-            original net).  Exits 0 when the property holds, 1 when a \
-            certified violation exists, 2 when inconclusive or when a \
-            claimed violation fails certification."
-  in
-  Cmd.v info
-    Term.(const certify $ source_term $ engines_arg $ budgets_term max_states_arg
-          $ cover $ reduce_term $ obs_term)
-
-(* ------------------------------------------------------------------ *)
 (* bench-diff                                                          *)
 
 let bench_diff base fresh threshold =
@@ -582,7 +476,7 @@ let bench_diff base fresh threshold =
       exit_usage
   | Ok outcome ->
       Format.printf "@[<v>%a@]@?" Bench_compare.Compare.pp_outcome outcome;
-      if Bench_compare.Compare.ok outcome then exit_holds else exit_violated
+      if Bench_compare.Compare.ok outcome then exit_ok else 1
 
 let bench_diff_cmd =
   let base =
@@ -657,7 +551,7 @@ let serve socket port host jobs queue_limit max_requests cache_dir io_timeout_s
       Format.printf "julie: listening on %a@." Serve.Server.pp_endpoint ep;
       Format.print_flush ())
     endpoint;
-  exit_holds
+  exit_ok
 
 let serve_cmd =
   let queue_limit =
@@ -716,12 +610,6 @@ let jobs_of_batch_text text =
       | _ -> failwith "batch: expected a list of jobs or {\"jobs\": [...]}")
   | Ok _ -> failwith "batch: expected a list of jobs"
 
-let describe_verdict = function
-  | Stdlib.Ok Serve.Protocol.Holds -> "holds"
-  | Stdlib.Ok Serve.Protocol.Violated -> "VIOLATED"
-  | Stdlib.Ok Serve.Protocol.Inconclusive -> "inconclusive"
-  | Stdlib.Error msg -> "failed: " ^ msg
-
 let submit socket port host source cover engine budgets witness reduce repeat
     batch json_out retries backoff_ms ping stats shutdown =
   usage_checked @@ fun () ->
@@ -735,21 +623,21 @@ let submit socket port host source cover engine budgets witness reduce repeat
     match Serve.Client.ping endpoint with
     | Ok Serve.Protocol.Pong ->
         Format.printf "pong@.";
-        exit_holds
+        exit_ok
     | Ok _ -> fail "unexpected reply to ping"
     | Error f -> failc f
   else if stats then
     match Serve.Client.stats endpoint with
     | Ok (Serve.Protocol.Stats_reply stats) ->
         print_endline (Gpo_obs.Json.to_string stats);
-        exit_holds
+        exit_ok
     | Ok _ -> fail "unexpected reply to stats"
     | Error f -> failc f
   else if shutdown then
     match Serve.Client.shutdown endpoint with
     | Ok Serve.Protocol.Bye ->
         Format.printf "server stopped@.";
-        exit_holds
+        exit_ok
     | Ok _ -> fail "unexpected reply to shutdown"
     | Error f -> failc f
   else
@@ -780,37 +668,23 @@ let submit socket port host source cover engine budgets witness reduce repeat
           r.Serve.Protocol.reason r.limit r.depth r.batch;
         exit_usage
     | Ok (Serve.Protocol.Results results) ->
+        let verdicts = List.map Serve.Protocol.classify results in
         if json_out then
           print_endline
             (Gpo_obs.Json.to_string
                (Serve.Protocol.json_of_response (Serve.Protocol.Results results)))
         else
-          List.iter
-            (fun (r : Serve.Protocol.job_result) ->
-              Format.printf "%-10s %s%s%s%s@." r.id
-                (describe_verdict (Serve.Protocol.verdict_of_result r))
+          List.iter2
+            (fun (r : Serve.Protocol.job_result) v ->
+              Format.printf "%-10s %s%s%s%s@." r.id (Q.verdict_name v)
                 (if r.cached then " [cached]" else "")
                 (if r.deduped then " [deduped]" else "")
                 (match r.certified with
                 | Some true -> " [certified]"
                 | Some false -> " [CERTIFICATION FAILED]"
                 | None -> ""))
-            results;
-        let verdicts = List.map Serve.Protocol.verdict_of_result results in
-        let any p = List.exists p verdicts in
-        if
-          List.exists
-            (fun (r : Serve.Protocol.job_result) -> r.certified = Some false)
-            results
-        then exit_indeterminate
-        else if any (function Stdlib.Ok Serve.Protocol.Violated -> true | _ -> false)
-        then exit_violated
-        else if
-          any (function
-            | Stdlib.Error _ | Stdlib.Ok Serve.Protocol.Inconclusive -> true
-            | _ -> false)
-        then exit_indeterminate
-        else exit_holds
+            results verdicts;
+        Q.exit_code verdicts
     | Ok _ -> fail "unexpected reply to submit"
 
 let submit_cmd =
@@ -902,7 +776,7 @@ let siphons source =
         (if marked then "marked (protected)" else "unmarked (deadlock risk)"))
     siphons;
   Format.printf "Commoner's condition: %b@." (Petri.Siphon.commoner_holds net);
-  exit_holds
+  exit_ok
 
 let siphons_cmd =
   let info =
@@ -933,7 +807,7 @@ let info_command source =
     p_invariants;
   let report = Petri.Properties.check ~max_states:200_000 net in
   Format.printf "%a@." (Petri.Properties.pp_report net) report;
-  exit_holds
+  exit_ok
 
 let info_cmd =
   let info = Cmd.info "info" ~doc:"Structural and behavioural report for a net." in

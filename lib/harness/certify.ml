@@ -67,19 +67,12 @@ let safety net property outcome =
         ~accept:(Petri.Safety.covers property)
         ~reject:(fun final -> Not_covering final))
 
-let conclusion outcomes =
-  (* A found deadlock is trustworthy even on a truncated run; a clean
-     verdict from a truncated run is not a verdict at all. *)
-  if List.exists (fun (o : Engine.outcome) -> o.Engine.deadlock) outcomes then
-    `Violated
-  else if List.exists Engine.truncated outcomes then `Inconclusive
-  else `Holds
-
 let certified = function Certified _ -> true | _ -> false
 
 let pp net ppf = function
   | Certified { trace; final } ->
-      Format.fprintf ppf "@[<v>CERTIFIED: %d-step witness replays to %a@ %a@]"
+      Format.fprintf ppf
+        "@[<v>CERTIFIED: %d-step witness replays to %a@ witness: %a@]"
         (List.length trace) (Petri.Net.pp_marking net) final
         (Petri.Trace.pp net) trace
   | Rejected No_witness ->

@@ -44,14 +44,6 @@ val safety : Petri.Net.t -> Petri.Safety.property -> Engine.outcome -> verdict
     {!Petri.Safety.project_monitor_witness}, replayed there, and the
     final marking checked to cover [property.never_all]. *)
 
-val conclusion :
-  Engine.outcome list -> [ `Violated | `Holds | `Inconclusive ]
-(** Combine engine outcomes into one scriptable verdict: [`Violated]
-    if any engine found a violation (trustworthy even when truncated),
-    [`Inconclusive] if none did but some exploration was truncated
-    (a clean verdict from a truncated run is not a verdict), [`Holds]
-    otherwise. *)
-
 val certified : verdict -> bool
 (** [true] exactly on [Certified _]. *)
 

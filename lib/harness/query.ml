@@ -114,3 +114,41 @@ let certify q o =
   match q.property with
   | None -> Certify.deadlock q.net o
   | Some p -> Certify.safety q.net p o
+
+type verdict =
+  | Holds
+  | Violated
+  | Inconclusive of Guard.stop_reason
+  | Untrusted
+  | Failed of string
+
+let verdict (o : Engine.outcome) ~certified =
+  match certified with
+  | Some true -> Violated
+  | Some false -> Untrusted
+  | None when Engine.truncated o -> Inconclusive o.stop
+  | None -> if o.deadlock then Violated else Holds
+
+let classify q o =
+  let c = certify q o in
+  let certified =
+    match c with
+    | Certify.Certified _ -> Some true
+    | Certify.Rejected _ -> Some false
+    | Certify.Inconclusive | Certify.Clean -> None
+  in
+  (c, verdict o ~certified)
+
+let exit_code verdicts =
+  let any p = List.exists p verdicts in
+  if any (( = ) Untrusted) then 2
+  else if any (( = ) Violated) then 1
+  else if any (function Inconclusive _ | Failed _ -> true | _ -> false) then 2
+  else 0
+
+let verdict_name = function
+  | Holds -> "holds"
+  | Violated -> "VIOLATED"
+  | Inconclusive stop -> "inconclusive (" ^ Guard.describe_stop stop ^ ")"
+  | Untrusted -> "UNTRUSTED"
+  | Failed msg -> "failed: " ^ msg

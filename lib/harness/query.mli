@@ -4,7 +4,9 @@
     A question names a net ({!source}), an optional cover property, an
     engine {!selection} and {!budgets}.  {!prepare} resolves the net and
     the monitored target, {!run} executes the selection under the
-    budgets, and {!certify} checks a violation verdict independently.
+    budgets, {!certify} checks a violation verdict independently,
+    {!classify} turns the checked outcome into a {!verdict}, and
+    {!exit_code} folds verdicts into the scriptable exit code.
     The [julie] verdict commands and the [julie serve] scheduler both go
     through this module, so a question gets the same verdict however it
     is asked.
@@ -81,3 +83,39 @@ val run :
 val certify : t -> Engine.outcome -> Certify.verdict
 (** {!Certify.deadlock} on [net], or {!Certify.safety} for a cover
     property (the outcome must come from {!run} on the same question). *)
+
+(** {1 Verdicts}
+
+    The one verdict policy, shared by every [julie] verdict command,
+    the [julie serve] scheduler and the client side of its wire
+    protocol. *)
+
+(** The class of one answered question. *)
+type verdict =
+  | Holds  (** An exhaustive run found no violation. *)
+  | Violated  (** A violation whose witness certified. *)
+  | Inconclusive of Guard.stop_reason
+      (** The run stopped early without a certified violation. *)
+  | Untrusted  (** A violation was claimed but its witness was rejected. *)
+  | Failed of string  (** The question got no answer (service jobs). *)
+
+val verdict : Engine.outcome -> certified:bool option -> verdict
+(** Classify an outcome given its certification: [Some true] when the
+    witness certified, [Some false] when it was rejected, [None] when
+    nothing was certified — a clean run, a truncated run that
+    reconstructed no witness, or a service job that asked for no
+    witness (its violation is reported uncertified, as asked).  A
+    violation found before a budget stopped the run still counts. *)
+
+val classify : t -> Engine.outcome -> Certify.verdict * verdict
+(** {!certify} the outcome, then {!verdict} — the certificate for
+    rendering, and its class.  Never [Failed]. *)
+
+val exit_code : verdict list -> int
+(** The exit policy: [2] if any verdict is [Untrusted], else [1] if any
+    is [Violated], else [2] if any is [Inconclusive] or [Failed], else
+    [0] (also for the empty list). *)
+
+val verdict_name : verdict -> string
+(** One-word rendering: ["holds"], ["VIOLATED"], ["inconclusive (…)"],
+    ["UNTRUSTED"], ["failed: …"]. *)

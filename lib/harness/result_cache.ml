@@ -409,6 +409,8 @@ let attach ?(compact_bytes = 8 lsl 20) dir =
 (* ------------------------------------------------------------------ *)
 (* Lookup and store                                                    *)
 
+let evict k = Gpo_obs.Lock.with_lock lock (fun () -> evict_locked k)
+
 let find ?verify_net k =
   let found =
     Gpo_obs.Lock.with_lock lock (fun () ->
@@ -426,7 +428,7 @@ let find ?verify_net k =
   | Some outcome -> (
       match verify_net with
       | Some net when not (verifies net outcome) ->
-          Gpo_obs.Lock.with_lock lock (fun () -> evict_locked k);
+          evict k;
           Gpo_obs.Counter.incr c_miss;
           None
       | _ ->

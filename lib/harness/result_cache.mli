@@ -91,6 +91,11 @@ val find : ?verify_net:Petri.Net.t -> key -> Engine.outcome option
     witness no longer certifies is evicted and misses.  Counts
     [serve.cache.hit] / [serve.cache.miss]. *)
 
+val evict : key -> unit
+(** Drop the entry under [key], if any (counted by
+    [serve.cache.evicted]).  For a caller that certifies a hit itself
+    and rejects it. *)
+
 val store : ?net_text:string -> key -> Engine.outcome -> bool
 (** Cache a finished outcome.  Returns [false] — and stores nothing —
     when [outcome.stop <> Completed]: partial results never poison the

@@ -45,18 +45,22 @@ type response =
 
 type verdict = Holds | Violated | Inconclusive
 
-let verdict_of_result r =
+let classify r =
   match (r.status, r.report) with
-  | Failed msg, _ -> Stdlib.Error msg
-  | Ok, None -> Stdlib.Error "no report attached"
+  | Failed msg, _ -> Harness.Query.Failed msg
+  | Ok, None -> Harness.Query.Failed "no report attached"
   | Ok, Some report -> (
-      let flag name =
-        match J.member name report with Some (J.Bool b) -> b | _ -> false
-      in
-      match (flag "deadlock", flag "truncated") with
-      | true, _ -> Stdlib.Ok Violated
-      | false, true -> Stdlib.Ok Inconclusive
-      | false, false -> Stdlib.Ok Holds)
+      match Harness.Report.outcome_of_json report with
+      | Stdlib.Error msg -> Harness.Query.Failed msg
+      | Stdlib.Ok o -> Harness.Query.verdict o ~certified:r.certified)
+
+let verdict_of_result r =
+  match classify r with
+  | Harness.Query.Holds -> Stdlib.Ok Holds
+  | Harness.Query.Violated -> Stdlib.Ok Violated
+  | Harness.Query.Inconclusive _ -> Stdlib.Ok Inconclusive
+  | Harness.Query.Untrusted -> Stdlib.Error "certification failed"
+  | Harness.Query.Failed msg -> Stdlib.Error msg
 
 (* ------------------------------------------------------------------ *)
 (* JSON codecs                                                         *)

@@ -71,8 +71,9 @@ type job_result = {
           was computed once and shared. *)
   certified : bool option;
       (** [Some true] when the violation witness passed independent
-          replay certification; [None] when there was nothing to
-          certify (no violation, or no witness requested). *)
+          replay certification, [Some false] when it was rejected;
+          [None] when there was nothing to certify (no violation, or
+          no witness requested). *)
   report : Gpo_obs.Json.t option;
       (** {!Harness.Report.json_of_outcome} of the verdict —
           byte-identical between a cache hit and the run that
@@ -105,13 +106,17 @@ type response =
           the socket.  Typed so clients can classify it as transient. *)
   | Error of string  (** Malformed request (protocol-level). *)
 
+val classify : job_result -> Harness.Query.verdict
+(** The {!Harness.Query.verdict} of one result: its decoded report
+    classified with its [certified] field.  A [Failed] job, a missing
+    report or one that does not decode is [Failed]. *)
+
 type verdict = Holds | Violated | Inconclusive
 
 val verdict_of_result : job_result -> (verdict, string) result
-(** Fold one result to the CLI exit-code contract: a deadlock/violation
-    report is [Violated] (sound even when truncated), a truncated clean
-    report is [Inconclusive], a completed clean report [Holds];
-    [Error] carries the failure message of a [Failed] job. *)
+(** {!classify}, collapsed onto three answers: [Error] carries the
+    failure message of a job without an answer, or ["certification
+    failed"] for an [Untrusted] one. *)
 
 (** {1 JSON codecs} *)
 

@@ -79,16 +79,23 @@ let prepare (job : Protocol.job) =
 (* ------------------------------------------------------------------ *)
 (* Execution of one (unique) job on a worker domain                    *)
 
-let ok_result (p : prepared) ~cached (o : Harness.Engine.outcome) =
+(* The [certified] field of an outcome, from its one classification.  A
+   job that asked for no witness has nothing to certify. *)
+let certification (p : prepared) o =
+  if not p.job.witness then None
+  else
+    match Q.classify p.query o with
+    | _, Q.Violated -> Some true
+    | _, Q.Untrusted -> Some false
+    | _ -> None
+
+let ok_result (p : prepared) ~cached ~certified o =
   {
     Protocol.id = p.job.id;
     status = Protocol.Ok;
     cached;
     deduped = false;
-    certified =
-      (if o.Harness.Engine.deadlock && o.Harness.Engine.witness <> None then
-         Some (Harness.Certify.certified (Q.certify p.query o))
-       else None);
+    certified;
     report = Some (Harness.Report.json_of_outcome o);
     metrics = J.Null;
   }
@@ -105,33 +112,39 @@ let failed_result id msg =
     metrics = J.Null;
   }
 
-(* One request: probe the fault site, try the cache (hits re-certify
-   their witness by replay before being served), run + store on a miss.
-   Every event the job emits is captured on the worker domain and
-   folded into the per-request metrics; failures stay inside this job's
-   result.  Faulted runs store nothing — the cache only ever holds
-   [Completed] outcomes. *)
+(* One request: probe the fault site, try the cache, run + store on a
+   miss.  Every answer is certified once: a hit whose witness no longer
+   certifies is evicted and the question re-run, never served.  Every
+   event the job emits is captured on the worker domain and folded into
+   the per-request metrics; failures stay inside this job's result.
+   Faulted runs store nothing — the cache only ever holds [Completed]
+   outcomes. *)
 let execute ?cancel (p : prepared) =
+  let run () =
+    let outcome =
+      Q.run ?cancel ~witness:p.job.witness ~reduce:p.job.reduce p.budgets p.sel
+        p.query
+    in
+    ignore
+      (Harness.Result_cache.store
+         ~net_text:(Petri.Parser.to_string p.query.target)
+         p.key outcome
+        : bool);
+    ok_result p ~cached:false ~certified:(certification p outcome) outcome
+  in
   let result, events =
     Gpo_obs.Scoped.capture (fun () ->
         Gpo_obs.Span.time "serve.request" (fun () ->
             try
               Guard.Fault.probe "serve.request";
-              match
-                Harness.Result_cache.find ~verify_net:p.query.target p.key
-              with
-              | Some outcome -> ok_result p ~cached:true outcome
-              | None ->
-                  let outcome =
-                    Q.run ?cancel ~witness:p.job.witness ~reduce:p.job.reduce
-                      p.budgets p.sel p.query
-                  in
-                  ignore
-                    (Harness.Result_cache.store
-                       ~net_text:(Petri.Parser.to_string p.query.target)
-                       p.key outcome
-                      : bool);
-                  ok_result p ~cached:false outcome
+              match Harness.Result_cache.find p.key with
+              | None -> run ()
+              | Some outcome -> (
+                  match certification p outcome with
+                  | Some false ->
+                      Harness.Result_cache.evict p.key;
+                      run ()
+                  | certified -> ok_result p ~cached:true ~certified outcome)
             with
             | Out_of_memory ->
                 Guard.relieve_memory ();

@@ -75,9 +75,14 @@ expect 1 "deadlock found within a tight budget still exits 1" -- \
 
 # --- witnesses --------------------------------------------------------
 
-expect 1 "analyze --witness still exits 1" -- analyze -m nsdp -n 4 --witness
+expect 1 "analyze --witness still exits 1" -- analyze -m nsdp -n 4
 expect_out "witness:" "witness is printed"
 expect_out "CERTIFIED" "witness is certified inline"
+# Witnesses are always on: analyze has no opt-out flag.
+expect 2 "analyze rejects the removed --witness flag" -- \
+  analyze -m nsdp -n 4 --witness
+expect 1 "trace certifies before it replays" -- trace -m nsdp -n 4
+expect_out "CERTIFIED\|deadlock reached by:" "trace prints the certified replay"
 
 for engine in full po smv gpo; do
   expect 1 "trace reconstructs a witness ($engine)" -- \
@@ -136,7 +141,7 @@ expect_out "inconclusive" "parallel truncation is called out"
 
 # The portfolio returns the first conclusive verdict with its witness.
 expect 1 "portfolio finds the NSDP deadlock" -- \
-  analyze -m nsdp -n 4 -e portfolio --witness
+  analyze -m nsdp -n 4 -e portfolio
 expect_out "portfolio: .* won" "portfolio announces its winner"
 expect_out "CERTIFIED" "portfolio witness is certified inline"
 expect 0 "portfolio clears the overtake protocol" -- \
@@ -162,7 +167,7 @@ expect 0 "--no-reduce wins over --reduce" -- \
 
 # A witness found on the reduced net certifies against the original.
 expect 1 "reduced analyze --witness certifies" -- \
-  analyze -m nsdp -n 4 --reduce --witness
+  analyze -m nsdp -n 4 --reduce
 expect_out "CERTIFIED" "lifted witness is certified inline"
 expect 1 "reduced certify confirms on all engines" -- \
   certify -m nsdp -n 2 --reduce

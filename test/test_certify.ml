@@ -9,12 +9,14 @@
    silently certify garbage.  Safety verdicts get the same treatment
    through the monitor construction and the witness projection.
 
-   The suite also pins the [Certify.conclusion] semantics (a truncated
-   clean run is inconclusive, never "holds" — the regression behind
-   julie's exit code 2) and every rejection path of the checker. *)
+   The suite also pins the shared verdict policy of [Harness.Query] (a
+   truncated clean run is inconclusive, never "holds" — the regression
+   behind julie's exit code 2; a rejected witness is untrusted) and
+   every rejection path of the checker. *)
 
 module E = Harness.Engine
 module C = Harness.Certify
+module Q = Harness.Query
 
 let max_states = 150_000
 
@@ -156,39 +158,93 @@ let safety_certification () =
     end)
 
 (* ------------------------------------------------------------------ *)
-(* Conclusion semantics and rejection paths (unit tests)               *)
+(* Verdict policy and rejection paths (unit tests)                    *)
 
 let outcome ?(deadlock = false) ?(stop = Guard.Completed) ?witness kind : E.outcome
     =
   { kind; states = 0.; metric = 0.; deadlock; time_s = 0.; stop; witness }
 
-let conclusion_testable =
-  Alcotest.testable
-    (fun ppf v ->
-      Format.pp_print_string ppf
-        (match v with
-        | `Violated -> "violated"
-        | `Holds -> "holds"
-        | `Inconclusive -> "inconclusive"))
-    ( = )
+(* The exit policy as a precedence table: Untrusted beats Violated,
+   which beats Inconclusive and Failed, which beat Holds.  Every pair,
+   in both orders, folds to the code of the higher-ranked class. *)
+let exit_policy_precedence () =
+  let ranked =
+    [
+      (Q.Untrusted, 2);
+      (Q.Violated, 1);
+      (Q.Inconclusive Guard.State_budget, 2);
+      (Q.Failed "boom", 2);
+      (Q.Holds, 0);
+    ]
+  in
+  List.iteri
+    (fun i (a, code_a) ->
+      Alcotest.(check int)
+        (Q.verdict_name a ^ " alone")
+        code_a (Q.exit_code [ a ]);
+      List.iteri
+        (fun j (b, code_b) ->
+          let want = if i <= j then code_a else code_b in
+          let name x y = Q.verdict_name x ^ " with " ^ Q.verdict_name y in
+          Alcotest.(check int) (name a b) want (Q.exit_code [ a; b ]);
+          Alcotest.(check int) (name b a) want (Q.exit_code [ b; a ]))
+        ranked)
+    ranked;
+  Alcotest.(check int) "no verdicts: holds vacuously" 0 (Q.exit_code []);
+  (* The truncation regression behind exit code 2: a truncated
+     exploration that found nothing is not a clean verdict, while a
+     certified violation out of a truncated run still counts. *)
+  let check msg want got =
+    Alcotest.(check string) msg (Q.verdict_name want) (Q.verdict_name got)
+  in
+  check "exhaustive clean run: holds" Q.Holds
+    (Q.verdict (outcome E.Full) ~certified:None);
+  check "truncated clean run: inconclusive"
+    (Q.Inconclusive Guard.State_budget)
+    (Q.verdict (outcome ~stop:Guard.State_budget E.Full) ~certified:None);
+  check "certified violation from a truncated run: violated" Q.Violated
+    (Q.verdict
+       (outcome ~deadlock:true ~stop:Guard.State_budget E.Full)
+       ~certified:(Some true));
+  check "violation stopped before its witness: inconclusive"
+    (Q.Inconclusive Guard.Deadline)
+    (Q.verdict (outcome ~deadlock:true ~stop:Guard.Deadline E.Full)
+       ~certified:None);
+  check "rejected witness: untrusted" Q.Untrusted
+    (Q.verdict (outcome ~deadlock:true E.Full) ~certified:(Some false))
 
-let conclusion_semantics () =
-  let check = Alcotest.check conclusion_testable in
-  check "all exhaustive and clean: holds" `Holds
-    (C.conclusion [ outcome E.Full; outcome E.Gpo ]);
-  (* The regression behind julie exit code 2: a truncated exploration
-     that found nothing must NOT be reported as a clean verdict. *)
-  check "truncated clean run: inconclusive" `Inconclusive
-    (C.conclusion [ outcome ~stop:Guard.State_budget E.Full ]);
-  check "one truncated among clean runs: inconclusive" `Inconclusive
-    (C.conclusion [ outcome E.Gpo; outcome ~stop:Guard.State_budget E.Full ]);
-  (* A found deadlock is trustworthy even out of a truncated run. *)
-  check "truncated run that found a deadlock: violated" `Violated
-    (C.conclusion [ outcome ~deadlock:true ~stop:Guard.State_budget E.Full ]);
-  check "any violation wins over truncation" `Violated
-    (C.conclusion
-       [ outcome ~stop:Guard.State_budget E.Full; outcome ~deadlock:true E.Gpo ]);
-  check "no outcomes: holds vacuously" `Holds (C.conclusion [])
+(* Doctored outcomes through [Query]: a deadlock question and a cover
+   question each get a witness with a disabled step (hungry.0 cannot
+   fire twice) and one that ends live (the empty witness stops at the
+   initial marking).  Each is untrusted, and an untrusted verdict turns
+   a batch with a genuine violation into exit 2. *)
+let doctored_witnesses_untrusted () =
+  let question cover =
+    match Q.prepare ~cover (Q.Model { id = "nsdp"; size = 2 }) with
+    | Ok q -> q
+    | Error msg -> Alcotest.fail msg
+  in
+  List.iter
+    (fun (label, cover) ->
+      let q = question cover in
+      let genuine =
+        snd (Q.classify q (E.run ~witness:true ~gpo_scan:true E.Gpo q.target))
+      in
+      Alcotest.(check int) (label ^ ": genuine violation exits 1") 1
+        (Q.exit_code [ genuine ]);
+      List.iter
+        (fun (bad, witness) ->
+          match Q.classify q (outcome ~deadlock:true ~witness E.Gpo) with
+          | C.Rejected _, (Q.Untrusted as v) ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s, %s: exit 2" label bad)
+                2
+                (Q.exit_code [ genuine; v ])
+          | c, v ->
+              Alcotest.failf "%s, %s: %a classified %s" label bad
+                (C.pp q.net) c (Q.verdict_name v))
+        [ ("disabled step", [ 0; 0 ]); ("ends live", []) ])
+    [ ("deadlock", []); ("cover", [ "gotL.0"; "gotL.1" ]) ]
 
 let rejection_paths () =
   let net = Models.Nsdp.make 2 in
@@ -275,8 +331,10 @@ let suite =
     Alcotest.test_case "failure artifacts round-trip" `Quick artifact_round_trip;
     Alcotest.test_case "symbolic witness is shortest" `Quick
       symbolic_witness_is_shortest;
-    Alcotest.test_case "conclusion semantics (truncation regression)" `Quick
-      conclusion_semantics;
+    Alcotest.test_case "exit policy precedence table" `Quick
+      exit_policy_precedence;
+    Alcotest.test_case "doctored witnesses are untrusted" `Quick
+      doctored_witnesses_untrusted;
     Alcotest.test_case "rejection paths" `Quick rejection_paths;
     Alcotest.test_case "safety not-covering rejection" `Quick not_covering_path;
     Alcotest.test_case "random net witnesses certify" `Slow random_certification;

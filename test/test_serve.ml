@@ -11,6 +11,7 @@ module P = Serve.Protocol
 module S = Serve.Scheduler
 module RC = Harness.Result_cache
 module J = Gpo_obs.Json
+module Q = Harness.Query
 
 (* Scoped-capture metrics only record under an installed sink — run
    every scheduler test the way the server runs. *)
@@ -269,6 +270,50 @@ let test_hit_reverification_evicts () =
   Alcotest.(check bool) "honest entry survives verification" true
     (RC.find ~verify_net:net key <> None)
 
+let nsdp_query size =
+  match Q.prepare (Q.Model { id = "nsdp"; size }) with
+  | Ok q -> q
+  | Error msg -> Alcotest.fail msg
+
+(* A served cache hit is certified exactly once: the one classification
+   decides both whether the hit is served and its [certified] field. *)
+let test_hit_certifies_once () =
+  with_scheduler @@ fun sched ->
+  let accepted = Gpo_obs.Counter.make "certify.accepted" in
+  let job = P.job ~engine:"gpo" (P.Model { id = "nsdp"; size = 3 }) in
+  let miss = submit_one sched job in
+  Alcotest.(check bool) "first answer is a certified miss" true
+    ((not miss.P.cached) && miss.P.certified = Some true);
+  let before = Gpo_obs.Counter.value accepted in
+  let hit = submit_one sched job in
+  Alcotest.(check bool) "repeat is a certified hit" true
+    (hit.P.cached && hit.P.certified = Some true);
+  Alcotest.(check int) "the hit replays its witness once" 1
+    (Gpo_obs.Counter.value accepted - before)
+
+(* A cached entry whose witness no longer certifies is evicted by the
+   scheduler and the question re-run, never served. *)
+let test_scheduler_evicts_rejected_hit () =
+  with_scheduler @@ fun sched ->
+  let job = P.job ~engine:"gpo" (P.Model { id = "nsdp"; size = 3 }) in
+  let q = nsdp_query 3 in
+  let budgets =
+    { Q.max_states = job.P.max_states; jobs = 1; timeout_s = None;
+      mem_mb = None }
+  in
+  let gpo = Q.Single Harness.Engine.Gpo in
+  let key = Q.key ~witness:true ~reduce:false budgets gpo q in
+  let o = Q.run ~witness:true ~reduce:false budgets gpo q in
+  Alcotest.(check bool) "corrupt entry stores" true
+    (RC.store key { o with Harness.Engine.witness = Some [ 0; 0; 0 ] });
+  let r = submit_one sched job in
+  Alcotest.(check bool) "the rejected hit is re-run, not served" false
+    r.P.cached;
+  Alcotest.(check bool) "the fresh answer certifies" true
+    (r.P.certified = Some true);
+  Alcotest.(check bool) "the honest outcome replaced the entry" true
+    (RC.find ~verify_net:q.target key <> None)
+
 let test_memory_pressure_invalidates () =
   with_sink @@ fun () ->
   RC.invalidate ();
@@ -451,27 +496,60 @@ let test_protocol_roundtrip () =
       P.Error "bad json";
     ]
 
+let outcome ?(deadlock = false) ?(stop = Guard.Completed) ?witness () =
+  { Harness.Engine.kind = Harness.Engine.Gpo; states = 1.; metric = 1.;
+    deadlock; time_s = 0.; stop; witness }
+
+(* A wire result carrying the report of a synthetic outcome. *)
+let wire_result ?deadlock ?stop ?witness ?certified status =
+  let o = outcome ?deadlock ?stop ?witness () in
+  { P.id = "r"; status; cached = false; deduped = false; certified;
+    report = Some (Harness.Report.json_of_outcome o); metrics = J.Null }
+
 let test_verdict_mapping () =
-  let result ?report status =
-    { P.id = "r"; status; cached = false; deduped = false; certified = None;
-      report; metrics = J.Null }
-  in
-  let rep ~deadlock ~truncated =
-    J.Obj [ ("deadlock", J.Bool deadlock); ("truncated", J.Bool truncated) ]
-  in
   let check msg want r =
     Alcotest.(check bool) msg true (P.verdict_of_result r = want)
   in
-  check "clean complete = holds" (Ok P.Holds)
-    (result ~report:(rep ~deadlock:false ~truncated:false) P.Ok);
-  check "deadlock = violated" (Ok P.Violated)
-    (result ~report:(rep ~deadlock:true ~truncated:false) P.Ok);
-  check "truncated deadlock is still violated" (Ok P.Violated)
-    (result ~report:(rep ~deadlock:true ~truncated:true) P.Ok);
+  check "clean complete = holds" (Ok P.Holds) (wire_result P.Ok);
+  check "certified deadlock = violated" (Ok P.Violated)
+    (wire_result ~deadlock:true ~witness:[ 0 ] ~certified:true P.Ok);
+  check "certified deadlock of a truncated run is still violated"
+    (Ok P.Violated)
+    (wire_result ~deadlock:true ~stop:Guard.State_budget ~witness:[ 0 ]
+       ~certified:true P.Ok);
+  check "uncertified deadlock of a witness-free job = violated"
+    (Ok P.Violated) (wire_result ~deadlock:true P.Ok);
   check "truncated clean = inconclusive" (Ok P.Inconclusive)
-    (result ~report:(rep ~deadlock:false ~truncated:true) P.Ok);
+    (wire_result ~stop:Guard.State_budget P.Ok);
+  check "rejected witness is a certification failure"
+    (Error "certification failed")
+    (wire_result ~deadlock:true ~witness:[ 0 ] ~certified:false P.Ok);
+  check "undecodable report fails"
+    (Error "outcome: field \"engine\": expected string")
+    { (wire_result P.Ok) with P.report = Some (J.Obj []) };
   check "failed job carries its message" (Error "boom")
-    (result (P.Failed "boom"))
+    { (wire_result (P.Failed "boom")) with P.report = None }
+
+(* [julie submit]'s fold: a result whose witness the server rejected
+   ([certified = Some false]) is the same class as a doctored outcome
+   classified through [Query], and it outranks a genuine violation. *)
+let test_submit_fold_untrusted () =
+  let doctored = outcome ~deadlock:true ~witness:[ 0; 0 ] () in
+  let rejected =
+    wire_result ~deadlock:true ~witness:[ 0; 0 ] ~certified:false P.Ok
+  in
+  let violated =
+    wire_result ~deadlock:true ~witness:[ 0 ] ~certified:true P.Ok
+  in
+  Alcotest.(check string) "wire and Query agree on the class"
+    (Q.verdict_name (snd (Q.classify (nsdp_query 2) doctored)))
+    (Q.verdict_name (P.classify rejected));
+  Alcotest.(check string) "the class is untrusted" "UNTRUSTED"
+    (Q.verdict_name (P.classify rejected));
+  Alcotest.(check int) "untrusted outranks a genuine violation" 2
+    (Q.exit_code (List.map P.classify [ violated; rejected ]));
+  Alcotest.(check int) "the genuine violation alone exits 1" 1
+    (Q.exit_code [ P.classify violated ])
 
 (* ------------------------------------------------------------------ *)
 (* The daemon over a real socket                                       *)
@@ -798,6 +876,10 @@ let suite =
       test_store_refuses_truncated;
     Alcotest.test_case "hits re-verify and evict corrupt witnesses" `Quick
       test_hit_reverification_evicts;
+    Alcotest.test_case "a served cache hit certifies once" `Quick
+      test_hit_certifies_once;
+    Alcotest.test_case "scheduler evicts a hit whose witness is rejected"
+      `Quick test_scheduler_evicts_rejected_hit;
     Alcotest.test_case "memory pressure sweeps the cache" `Quick
       test_memory_pressure_invalidates;
     Alcotest.test_case "admission control rejects whole batches" `Quick
@@ -812,6 +894,8 @@ let suite =
       test_protocol_roundtrip;
     Alcotest.test_case "verdict mapping follows the exit-code contract"
       `Quick test_verdict_mapping;
+    Alcotest.test_case "submit's fold: a rejected witness is untrusted"
+      `Quick test_submit_fold_untrusted;
     Alcotest.test_case "daemon serves cache hits over a Unix socket" `Quick
       test_server_over_socket;
     Alcotest.test_case "bad jobs fail alone, the daemon keeps serving" `Quick

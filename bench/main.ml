@@ -65,10 +65,6 @@ let time f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* The tree-representation engine, for head-to-head ablation against the
-   default hash-consed one (= [Gpn.Explorer]). *)
-module Tree_explorer = Gpn.Core.Tree.Explorer
-
 (* CI runs the ablation with BENCH_SMOKE=1: small instances, few
    repetitions — a smoke test that the job runs and the report schema
    holds, not a measurement. *)
@@ -76,60 +72,6 @@ let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None
 
 let ablation () =
   let module J = Gpo_obs.Json in
-  section "Ablation — GPO world-set representation (tree vs hash-consed)";
-  Format.printf "%-10s %8s %6s %12s %12s %8s@." "net" "states" "runs" "tree"
-    "hashconsed" "speedup";
-  let ws_rows = ref [] in
-  let ws_nets =
-    if smoke then
-      [
-        ("nsdp-6", Models.Nsdp.make 6);
-        ("asat-4", Models.Asat.make 4);
-        ("fig2-6", Models.Figures.fig2 6);
-        ("rw-8", Models.Rw.make 8);
-      ]
-    else
-      [
-        ("nsdp-8", Models.Nsdp.make 8);
-        ("nsdp-12", Models.Nsdp.make 12);
-        ("asat-8", Models.Asat.make 8);
-        ("fig2-12", Models.Figures.fig2 12);
-        ("rw-15", Models.Rw.make 15);
-      ]
-  in
-  let ws_reps = if smoke then 2 else 5 in
-  List.iter
-    (fun (name, net) ->
-      (* Interleaved min-of-N: alternating the two representations within
-         each repetition cancels slow drift (thermal, GC heap growth)
-         that back-to-back loops would attribute to one side. *)
-      let best_tree = ref infinity and best_hc = ref infinity in
-      let states = ref 0 and runs = ref 0 in
-      for _ = 1 to ws_reps do
-        let rt, t_tree = time (fun () -> Tree_explorer.analyse net) in
-        if t_tree < !best_tree then best_tree := t_tree;
-        let rh, t_hc = time (fun () -> Gpn.Explorer.analyse net) in
-        if t_hc < !best_hc then best_hc := t_hc;
-        states := rh.Gpn.Explorer.states;
-        runs := List.length rh.Gpn.Explorer.runs;
-        assert (rt.Tree_explorer.states = rh.Gpn.Explorer.states)
-      done;
-      Format.printf "%-10s %8d %6d %11.3fs %11.3fs %7.2fx@." name !states !runs
-        !best_tree !best_hc (!best_tree /. !best_hc);
-      List.iter
-        (fun (rep, t) ->
-          ws_rows :=
-            J.Obj
-              [
-                ("net", J.String name);
-                ("representation", J.String rep);
-                ("states", J.Int !states);
-                ("runs", J.Int !runs);
-                ("time_s", J.Float t);
-              ]
-            :: !ws_rows)
-        [ ("tree", !best_tree); ("hashconsed", !best_hc) ])
-    ws_nets;
   section "Ablation — GPO explorer variants";
   Format.printf "%-10s %-26s %8s %6s %9s@." "net" "variant" "states" "runs" "time";
   let gpo_rows = ref [] in
@@ -246,7 +188,6 @@ let ablation () =
     (J.Obj
        [
          ("table", J.String "ablation");
-         ("worldset_representation", J.List (List.rev !ws_rows));
          ("gpo_variants", J.List (List.rev !gpo_rows));
          ("symbolic_relation", J.List (List.rev !smv_rows));
          ("stubborn_heuristic", J.List (List.rev !stubborn_rows));
@@ -464,16 +405,14 @@ let rec bechamel_tests () =
     worldset_tests ();
   ]
 
-(* World-set algebra on both representations, over a shared pool of
-   random worlds.  The hash-consed numbers are steady-state: after the
-   first iteration the memo caches hit, which is exactly the regime the
-   explorer runs in (the same unions/intersections recur across
-   states). *)
+(* World-set algebra over a pool of random worlds.  The numbers are
+   steady-state: after the first iteration the memo caches hit, which
+   is exactly the regime the explorer runs in (the same unions/
+   intersections recur across states). *)
 and worldset_tests () =
   let open Bechamel in
   let module B = Petri.Bitset in
   let module H = Gpn.World_set in
-  let module T = Gpn.World_set_tree in
   let width = 24 in
   let st = Random.State.make [| 0x5eed |] in
   let random_world () =
@@ -486,7 +425,6 @@ and worldset_tests () =
   let pool_a = List.init 160 (fun _ -> random_world ()) in
   let pool_b = List.init 160 (fun _ -> random_world ()) in
   let ha = H.of_list pool_a and hb = H.of_list pool_b in
-  let ta = T.of_list pool_a and tb = T.of_list pool_b in
   let w0 = List.hd pool_a in
   (* The memoized operations finish in tens of nanoseconds — below the
      per-sample noise floor of the harness — so every job batches 1000
@@ -500,11 +438,8 @@ and worldset_tests () =
   in
   Test.make_grouped ~name:"worldset-x1000"
     [
-      Test.make ~name:"union-tree" (batched (fun () -> T.union ta tb));
       Test.make ~name:"union-hashconsed" (batched (fun () -> H.union ha hb));
-      Test.make ~name:"inter-tree" (batched (fun () -> T.inter ta tb));
       Test.make ~name:"inter-hashconsed" (batched (fun () -> H.inter ha hb));
-      Test.make ~name:"filter-member-tree" (batched (fun () -> T.filter_member 3 ta));
       Test.make ~name:"filter-member-hashconsed"
         (batched (fun () -> H.filter_member 3 ha));
       (* [add]/[remove] build a fresh, structurally-equal bit set each

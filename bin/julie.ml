@@ -213,21 +213,13 @@ let budgets_term max_states =
         $ max_states $ jobs_arg $ timeout_arg $ mem_mb_arg)
 
 let reduce_term =
-  let reduce =
-    Arg.(value & flag
-         & info [ "reduce" ]
-             ~doc:"Apply the structural reduction pipeline (agglomeration, \
-                   redundant-place removal, dead-transition elimination) to \
-                   the net before each engine runs.  Only verdict-preserving \
-                   rules fire, and witnesses are lifted back so they replay \
-                   — and certify — against the original net.")
-  in
-  let no_reduce =
-    Arg.(value & flag
-         & info [ "no-reduce" ]
-             ~doc:"Disable structural reduction (overrides $(b,--reduce)).")
-  in
-  Term.(const (fun r nr -> r && not nr) $ reduce $ no_reduce)
+  Arg.(value & flag
+       & info [ "reduce" ]
+           ~doc:"Apply the structural reduction pipeline (agglomeration, \
+                 redundant-place removal, dead-transition elimination) to \
+                 the net before each engine runs.  Only verdict-preserving \
+                 rules fire, and witnesses are lifted back so they replay \
+                 — and certify — against the original net.")
 
 (* The human-readable reduction summary, printed once per command before
    the engine runs.  This informational pipeline run happens before any

@@ -19,11 +19,7 @@
    garbage canonical forms.  Memo caches are strong but bounded — when
    a cache reaches its bound it is dropped wholesale (the next misses
    rebuild the useful entries).  Node ids are never reused, so stale
-   cache entries keyed on collected nodes can only miss, never alias.
-
-   The previous balanced-tree representation is kept verbatim in
-   {!World_set_tree}; both satisfy {!World_set_intf.S} and are compared
-   head-to-head by the ablation bench and the equivalence suite. *)
+   cache entries keyed on collected nodes can only miss, never alias. *)
 
 module B = Petri.Bitset
 
@@ -97,7 +93,7 @@ let branch prefix bit l r =
   hashcons
     (Branch { prefix; bit; l; r; uid = fresh_uid (); card = cardinal l + cardinal r })
 
-(* Like [branch] but tolerates children emptied by [diff]/[filter]. *)
+(* Like [branch] but tolerates children emptied by [diff]/[filter_member]. *)
 let branch0 prefix bit l r =
   match (l, r) with Empty, t | t, Empty -> t | _ -> branch prefix bit l r
 
@@ -106,19 +102,24 @@ let branch0 prefix bit l r =
 
 let cache_bound = 1 lsl 17
 
-(* Memoization is two-tiered and never takes a lock on the probe path.
+(* A memo entry is keyed on its two operands' ids (for [filter_member],
+   the transition and the node id).  Node ids are process-wide and never
+   reused, so a long-lived process passes 2^31 of them and a pair of ids
+   no longer packs into one int: the key keeps both.  A probe fills the
+   domain's scratch key instead of allocating one; only a store copies
+   it. *)
+type key = { mutable ka : int; mutable kb : int }
 
-   Tier 1 — per-domain caches: each domain owns its four memo tables in
-   domain-local storage, so the recursive set algebra only ever touches
-   tables no other domain can see.  The old design guarded one global
-   table set with a probed mutex (obs.lock.wait.worldset.memo); that
-   lock — and its contention — are gone entirely.
+module Memo = Hashtbl.Make (struct
+  type t = key
 
-   Tier 2 — a read-mostly shared tier: small direct-mapped arrays of
-   atomic slots publishing hot union/inter/diff results across domains.
-   A slot holds [Some (key, result)]; readers [Atomic.get] and compare
-   the key, writers [Atomic.set] unconditionally.  Races lose nothing
-   but a memo entry; results are canonical either way.
+  let equal x y = x.ka = y.ka && x.kb = y.kb
+  let hash k = ((k.ka * 0x9E3779B1) + k.kb) land max_int
+end)
+
+(* Memoization never takes a lock: each domain owns its four memo
+   tables in domain-local storage, so the recursive set algebra only
+   ever touches tables no other domain can see.
 
    Cross-domain invalidation (Guard.on_memory_pressure must drop every
    domain's cache, not just the caller's) works by generation: a global
@@ -129,10 +130,11 @@ let cache_bound = 1 lsl 17
 
 type caches = {
   mutable gen : int;
-  union_c : (int, t) Hashtbl.t;
-  inter_c : (int, t) Hashtbl.t;
-  diff_c : (int, t) Hashtbl.t;
-  filter_c : (int, t) Hashtbl.t;
+  probe : key;
+  union_c : t Memo.t;
+  inter_c : t Memo.t;
+  diff_c : t Memo.t;
+  filter_c : t Memo.t;
 }
 
 let cache_gen = Atomic.make 0
@@ -141,17 +143,18 @@ let caches_key =
   Domain.DLS.new_key (fun () ->
       {
         gen = Atomic.get cache_gen;
-        union_c = Hashtbl.create 4096;
-        inter_c = Hashtbl.create 4096;
-        diff_c = Hashtbl.create 4096;
-        filter_c = Hashtbl.create 4096;
+        probe = { ka = 0; kb = 0 };
+        union_c = Memo.create 4096;
+        inter_c = Memo.create 4096;
+        diff_c = Memo.create 4096;
+        filter_c = Memo.create 4096;
       })
 
 let reset_caches c =
-  Hashtbl.reset c.union_c;
-  Hashtbl.reset c.inter_c;
-  Hashtbl.reset c.diff_c;
-  Hashtbl.reset c.filter_c
+  Memo.reset c.union_c;
+  Memo.reset c.inter_c;
+  Memo.reset c.diff_c;
+  Memo.reset c.filter_c
 
 let local_caches () =
   let c = Domain.DLS.get caches_key in
@@ -162,37 +165,14 @@ let local_caches () =
   end;
   c
 
-let cache_store tbl key v =
-  if Hashtbl.length tbl >= cache_bound then Hashtbl.reset tbl;
-  Hashtbl.add tbl key v
+let cache_find c tbl a b =
+  c.probe.ka <- a;
+  c.probe.kb <- b;
+  Memo.find_opt tbl c.probe
 
-(* Node ids fit in 31 bits for any realistic run (2^31 allocations);
-   two of them pack into one 62-bit key, eliminating tuple allocation
-   on the probe path. *)
-let pack a b = (a lsl 31) lor b
-let pack_comm a b = if a <= b then (a lsl 31) lor b else (b lsl 31) lor a
-
-(* Shared tier. *)
-let shared_bits = 14
-let shared_size = 1 lsl shared_bits
-
-let shared_slot key =
-  let h = key lxor (key lsr 29) in
-  (h * 0x9E3779B9) land (shared_size - 1)
-
-let make_shared () : (int * t) option Atomic.t array =
-  Array.init shared_size (fun _ -> Atomic.make None)
-
-let shared_union = make_shared ()
-let shared_inter = make_shared ()
-let shared_diff = make_shared ()
-
-let shared_find shared key =
-  match Atomic.get shared.(shared_slot key) with
-  | Some (k, r) when k = key -> Some r
-  | _ -> None
-
-let shared_publish shared key r = Atomic.set shared.(shared_slot key) (Some (key, r))
+let cache_store tbl a b v =
+  if Memo.length tbl >= cache_bound then Memo.reset tbl;
+  Memo.add tbl { ka = a; kb = b } v
 
 let c_union_hit = Gpo_obs.Counter.make "worldset.union.cache_hit"
 let c_union_miss = Gpo_obs.Counter.make "worldset.union.cache_miss"
@@ -293,16 +273,10 @@ let rec union_in c s t =
         (* Fault probe on the memoized slow path only: the cheap
            structural cases above stay probe-free. *)
         Guard.Fault.probe "worldset.op";
-        let key = pack_comm sb.uid tb.uid in
-        match Hashtbl.find_opt c.union_c key with
+        let a = Int.min sb.uid tb.uid and b = Int.max sb.uid tb.uid in
+        match cache_find c c.union_c a b with
         | Some r ->
             Gpo_obs.Counter.incr c_union_hit;
-            r
-        | None ->
-        match shared_find shared_union key with
-        | Some r ->
-            Gpo_obs.Counter.incr c_union_hit;
-            cache_store c.union_c key r;
             r
         | None ->
             Gpo_obs.Counter.incr c_union_miss;
@@ -336,8 +310,7 @@ let rec union_in c s t =
                 end
               else join sb.prefix s tb.prefix t
             in
-            cache_store c.union_c key r;
-            shared_publish shared_union key r;
+            cache_store c.union_c a b r;
             r
       end
 
@@ -349,16 +322,10 @@ let rec inter_in c s t =
     | (Leaf { key; _ } as lf), t -> if mem_key key t then lf else Empty
     | s, (Leaf { key; _ } as lf) -> if mem_key key s then lf else Empty
     | Branch sb, Branch tb -> begin
-        let key = pack_comm sb.uid tb.uid in
-        match Hashtbl.find_opt c.inter_c key with
+        let a = Int.min sb.uid tb.uid and b = Int.max sb.uid tb.uid in
+        match cache_find c c.inter_c a b with
         | Some r ->
             Gpo_obs.Counter.incr c_inter_hit;
-            r
-        | None ->
-        match shared_find shared_inter key with
-        | Some r ->
-            Gpo_obs.Counter.incr c_inter_hit;
-            cache_store c.inter_c key r;
             r
         | None ->
             Gpo_obs.Counter.incr c_inter_miss;
@@ -378,8 +345,7 @@ let rec inter_in c s t =
               then inter s (if zero_bit sb.prefix tb.bit then tb.l else tb.r)
               else Empty
             in
-            cache_store c.inter_c key r;
-            shared_publish shared_inter key r;
+            cache_store c.inter_c a b r;
             r
       end
 
@@ -392,16 +358,9 @@ let rec diff_in c s t =
     | (Leaf { key; _ } as lf), t -> if mem_key key t then Empty else lf
     | s, Leaf { key; _ } -> remove_key key s
     | Branch sb, Branch tb -> begin
-        let key = pack sb.uid tb.uid in
-        match Hashtbl.find_opt c.diff_c key with
+        match cache_find c c.diff_c sb.uid tb.uid with
         | Some r ->
             Gpo_obs.Counter.incr c_diff_hit;
-            r
-        | None ->
-        match shared_find shared_diff key with
-        | Some r ->
-            Gpo_obs.Counter.incr c_diff_hit;
-            cache_store c.diff_c key r;
             r
         | None ->
             Gpo_obs.Counter.incr c_diff_miss;
@@ -425,8 +384,7 @@ let rec diff_in c s t =
               then diff s (if zero_bit sb.prefix tb.bit then tb.l else tb.r)
               else s
             in
-            cache_store c.diff_c key r;
-            shared_publish shared_diff key r;
+            cache_store c.diff_c sb.uid tb.uid r;
             r
       end
 
@@ -456,8 +414,7 @@ let filter_member tr s =
     | Empty -> Empty
     | Leaf { w; _ } -> if B.mem tr w then s else Empty
     | Branch b -> begin
-        let key = pack tr b.uid in
-        match Hashtbl.find_opt c.filter_c key with
+        match cache_find c c.filter_c tr b.uid with
         | Some r ->
             Gpo_obs.Counter.incr c_filter_hit;
             r
@@ -465,7 +422,7 @@ let filter_member tr s =
             Gpo_obs.Counter.incr c_filter_miss;
             let l = go b.l and r' = go b.r in
             let r = if l == b.l && r' == b.r then s else branch0 b.prefix b.bit l r' in
-            cache_store c.filter_c key r;
+            cache_store c.filter_c tr b.uid r;
             r
       end
   in
@@ -486,28 +443,17 @@ let equal a b = a == b
 let compare a b = Int.compare (uid a) (uid b)
 let hash t = (uid t * 2654435761) land max_int
 
-(* Content-minimal element, matching {!World_set_tree.choose}
-   ([Set.min_elt]): trie order is interning order, which depends on the
-   global interleaving of [Bitset.intern] calls, so the leftmost leaf
-   would differ run-to-run under parallel interning.  The minimum by
-   [Bitset.compare] is a pure function of the set's contents. *)
+(* Content-minimal element: trie order is interning order, which
+   depends on the global interleaving of [Bitset.intern] calls, so the
+   leftmost leaf would differ run-to-run under parallel interning.  The
+   minimum by [Bitset.compare] is a pure function of the set's
+   contents. *)
 let rec choose = function
   | Empty -> raise Not_found
   | Leaf { w; _ } -> w
   | Branch { l; r; _ } ->
       let a = choose l and b = choose r in
       if B.compare a b <= 0 then a else b
-
-let filter p t =
-  let rec go t =
-    match t with
-    | Empty -> Empty
-    | Leaf { w; _ } -> if p w then t else Empty
-    | Branch b ->
-        let l = go b.l and r = go b.r in
-        if l == b.l && r == b.r then t else branch0 b.prefix b.bit l r
-  in
-  go t
 
 let rec iter f = function
   | Empty -> ()
@@ -533,15 +479,11 @@ let rec exists p = function
   | Branch { l; r; _ } -> exists p l || exists p r
 
 let elements t =
-  (* Trie order is interning order; sort so both representations list
-     elements identically (and [pp] stays deterministic). *)
+  (* Trie order is interning order; sort so the listing is a function
+     of the contents (and [pp] stays deterministic). *)
   List.sort B.compare (fold (fun w acc -> w :: acc) t [])
 
 let of_list worlds = List.fold_left (fun acc w -> add w acc) Empty worlds
-
-let inter_all = function
-  | [] -> invalid_arg "World_set.inter_all: empty list"
-  | first :: rest -> List.fold_left inter first rest
 
 let product width factors =
   let seed = singleton (B.empty width) in
@@ -552,8 +494,6 @@ let product width factors =
   in
   List.fold_left extend seed factors
 
-let fast_identity = true
-
 let pp ?name () ppf ws =
   Format.fprintf ppf "{%a}"
     (Format.pp_print_list
@@ -561,24 +501,18 @@ let pp ?name () ppf ws =
        (B.pp ?name ()))
     (elements ws)
 
-(* Exposed for the micro-bench and tests. *)
-let unique_nodes () =
-  Array.fold_left (fun acc s -> acc + Unique.count s) 0 unique_stripes
-
-let clear_shared shared =
-  Array.iter (fun slot -> Atomic.set slot None) shared
-
 let clear_caches () =
   (* Bump the generation so every other domain resets its local tables
-     the next time it touches them; the caller's tables and the shared
-     tier are dropped immediately. *)
+     the next time it touches them; the caller's tables are dropped
+     immediately. *)
   Atomic.incr cache_gen;
   let c = Domain.DLS.get caches_key in
   c.gen <- Atomic.get cache_gen;
-  reset_caches c;
-  clear_shared shared_union;
-  clear_shared shared_inter;
-  clear_shared shared_diff
+  reset_caches c
+
+let rec advance_node_ids n =
+  let cur = Atomic.get next_uid in
+  if cur < n && not (Atomic.compare_and_set next_uid cur n) then advance_node_ids n
 
 (* Under memory pressure the memo tables are the recoverable ballast:
    dropping them costs recomputation, not correctness. *)

@@ -162,11 +162,11 @@ expect 1 "reduced analyze finds the NSDP deadlock" -- \
 expect_out "reduction:" "the reduction summary is printed"
 expect 0 "reduced analyze clears the overtake protocol" -- \
   analyze -m over -n 3 --reduce
-expect 0 "--no-reduce wins over --reduce" -- \
+expect 2 "analyze rejects the removed --no-reduce flag" -- \
   analyze -m over -n 3 --reduce --no-reduce
 
 # A witness found on the reduced net certifies against the original.
-expect 1 "reduced analyze --witness certifies" -- \
+expect 1 "reduced analyze certifies" -- \
   analyze -m nsdp -n 4 --reduce
 expect_out "CERTIFIED" "lifted witness is certified inline"
 expect 1 "reduced certify confirms on all engines" -- \

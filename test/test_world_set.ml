@@ -1,4 +1,6 @@
-(* Tests for Gpn.World_set and Gpn.State. *)
+(* Tests for Gpn.World_set and Gpn.State: unit cases, randomized
+   operation sequences checked against the stdlib's [Set.Make] over bit
+   sets, and the per-domain memo caches. *)
 
 module B = Petri.Bitset
 module W = Gpn.World_set
@@ -31,15 +33,6 @@ let test_filter_member () =
   Alcotest.(check int) "two contain 1" 2 (W.cardinal with1);
   Alcotest.(check bool) "right ones" true
     (W.mem (w [ 0; 1 ]) with1 && W.mem (w [ 1; 2 ]) with1)
-
-let test_inter_all () =
-  let a = W.of_list [ w [ 0 ]; w [ 1 ]; w [ 2 ] ] in
-  let b = W.of_list [ w [ 1 ]; w [ 2 ] ] in
-  let c = W.of_list [ w [ 2 ]; w [ 3 ] ] in
-  Alcotest.(check int) "three-way inter" 1 (W.cardinal (W.inter_all [ a; b; c ]));
-  match W.inter_all [] with
-  | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ()
 
 let test_product () =
   let f1 = W.of_list [ w [ 0 ]; w [ 1 ] ] in
@@ -83,6 +76,160 @@ let test_state_equality_and_hash () =
   Alcotest.(check bool) "hash agrees" true (Gpn.State.hash s1 = Gpn.State.hash s2);
   Alcotest.(check bool) "different states differ" false (Gpn.State.equal s1 s3)
 
+(* ------------------------------------------------------------------ *)
+(* Against a reference: the stdlib's balanced-tree sets of bit sets.   *)
+
+module R = Set.Make (B)
+
+let width = 12
+
+let random_world st =
+  let k = Random.State.int st (width + 1) in
+  let w = ref (B.empty width) in
+  for _ = 1 to k do
+    w := B.add (Random.State.int st width) !w
+  done;
+  !w
+
+let check_pair ctx (h, r) =
+  if W.cardinal h <> R.cardinal r then
+    Alcotest.failf "%s: cardinal %d vs %d" ctx (W.cardinal h) (R.cardinal r);
+  if not (List.equal B.equal (W.elements h) (R.elements r)) then
+    Alcotest.failf "%s: elements differ" ctx;
+  if W.is_empty h <> R.is_empty r then Alcotest.failf "%s: is_empty differs" ctx
+
+(* One random session: grow a pool of (world set, reference) pairs built
+   by identical operations, checking observational agreement after
+   every step plus the pairwise relations at the end. *)
+let op_session seed =
+  let st = Random.State.make [| seed |] in
+  let pool = ref [| (W.empty, R.empty) |] in
+  let pick () = !pool.(Random.State.int st (Array.length !pool)) in
+  let push ctx (h, r) =
+    check_pair ctx (h, r);
+    pool := Array.append !pool [| (h, r) |]
+  in
+  for step = 1 to 40 do
+    let ctx = Printf.sprintf "seed %d step %d" seed step in
+    match Random.State.int st 7 with
+    | 0 ->
+        let w = random_world st in
+        push ctx (W.singleton w, R.singleton w)
+    | 1 ->
+        let w = random_world st in
+        let h, r = pick () in
+        push ctx (W.add w h, R.add w r)
+    | 2 ->
+        let ha, ra = pick () and hb, rb = pick () in
+        push ctx (W.union ha hb, R.union ra rb)
+    | 3 ->
+        let ha, ra = pick () and hb, rb = pick () in
+        push ctx (W.inter ha hb, R.inter ra rb)
+    | 4 ->
+        let ha, ra = pick () and hb, rb = pick () in
+        push ctx (W.diff ha hb, R.diff ra rb)
+    | 5 ->
+        let tr = Random.State.int st width in
+        let h, r = pick () in
+        push ctx (W.filter_member tr h, R.filter (B.mem tr) r)
+    | _ ->
+        let worlds = List.init (Random.State.int st 6) (fun _ -> random_world st) in
+        push ctx (W.of_list worlds, R.of_list worlds)
+  done;
+  (* Pairwise relations must agree with the reference, and the hash
+     must be consistent with equality. *)
+  Array.iteri
+    (fun i (ha, ra) ->
+      Array.iteri
+        (fun j (hb, rb) ->
+          let ctx rel = Printf.sprintf "seed %d pair (%d,%d): %s" seed i j rel in
+          if W.equal ha hb <> R.equal ra rb then Alcotest.failf "%s" (ctx "equal");
+          if W.subset ha hb <> R.subset ra rb then Alcotest.failf "%s" (ctx "subset");
+          if (W.compare ha hb = 0) <> (R.compare ra rb = 0) then
+            Alcotest.failf "%s" (ctx "compare-zero");
+          if W.equal ha hb && W.hash ha <> W.hash hb then
+            Alcotest.failf "%s" (ctx "hash/equal"))
+        !pool;
+      let w = random_world st in
+      if W.mem w ha <> R.mem w ra then
+        Alcotest.failf "seed %d set %d: mem differs" seed i)
+    !pool
+
+let test_ops_random () =
+  for seed = 0 to 199 do
+    op_session seed
+  done
+
+(* Cartesian products, exercised separately: the pool sets above can
+   grow too large to multiply safely. *)
+let test_products () =
+  let st = Random.State.make [| 0xbeef |] in
+  let r_product factors =
+    List.fold_left
+      (fun acc factor ->
+        R.fold
+          (fun prefix out -> R.fold (fun w out -> R.add (B.union prefix w) out) factor out)
+          acc R.empty)
+      (R.singleton (B.empty width))
+      factors
+  in
+  for case = 0 to 99 do
+    let factors =
+      List.init
+        (1 + Random.State.int st 3)
+        (fun _ -> List.init (1 + Random.State.int st 3) (fun _ -> random_world st))
+    in
+    let h = W.product width (List.map W.of_list factors) in
+    let r = r_product (List.map R.of_list factors) in
+    check_pair (Printf.sprintf "product case %d" case) (h, r)
+  done
+
+(* Interning invariant: structural equality coincides with physical
+   equality. *)
+let test_hashcons_identity () =
+  let st = Random.State.make [| 0xcafe |] in
+  for _ = 1 to 200 do
+    let worlds = List.init (Random.State.int st 8) (fun _ -> random_world st) in
+    let a = W.of_list worlds in
+    let b = List.fold_left (fun acc w -> W.add w acc) W.empty (List.rev worlds) in
+    if not (W.equal a b) then Alcotest.fail "of_list/add disagree";
+    if W.compare a b <> 0 then Alcotest.fail "equal sets with compare <> 0";
+    if W.hash a <> W.hash b then Alcotest.fail "equal sets with distinct hashes"
+  done
+
+(* [clear_caches] is the memory-pressure hook: it must reach the memo
+   tables of every domain, not only the caller's.  Another domain's
+   repeat of an operation is a hit before the call and a miss after
+   it, and both answers are the same canonical set. *)
+let test_clear_caches_across_domains () =
+  let hits = Gpo_obs.Counter.make "worldset.union.cache_hit" in
+  let misses = Gpo_obs.Counter.make "worldset.union.cache_miss" in
+  let counts () = (Gpo_obs.Counter.value hits, Gpo_obs.Counter.value misses) in
+  (* Two-world sets: their union is one memoized step over two branch
+     nodes, with leaf-level work below it. *)
+  let a = W.of_list [ w [ 0; 5 ]; w [ 1; 5 ] ] in
+  let b = W.of_list [ w [ 2; 5 ]; w [ 3; 5 ] ] in
+  let phase = Atomic.make 0 in
+  let await n = while Atomic.get phase < n do Domain.cpu_relax () done in
+  let other =
+    Domain.spawn (fun () ->
+        let first = W.union a b in
+        let c0 = counts () in
+        let repeat = W.union a b in
+        let c1 = counts () in
+        Atomic.set phase 1;
+        await 2;
+        let again = W.union a b in
+        (first, repeat, again, c0, c1, counts ()))
+  in
+  await 1;
+  W.clear_caches ();
+  Atomic.set phase 2;
+  let first, repeat, again, (h0, m0), (h1, m1), c2 = Domain.join other in
+  Alcotest.(check (pair int int)) "repeat before clear_caches hits" (h0 + 1, m0) (h1, m1);
+  Alcotest.(check (pair int int)) "repeat after clear_caches misses" (h1, m1 + 1) c2;
+  Alcotest.(check bool) "one canonical result" true (first == repeat && repeat == again)
+
 let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count:200 gen f)
 
 let gen_world = QCheck2.Gen.(map (fun xs -> w xs) (list_size (0 -- 4) (0 -- 7)))
@@ -106,10 +253,14 @@ let suite =
     Alcotest.test_case "basics" `Quick test_basics;
     Alcotest.test_case "algebra" `Quick test_algebra;
     Alcotest.test_case "filter_member" `Quick test_filter_member;
-    Alcotest.test_case "inter_all" `Quick test_inter_all;
     Alcotest.test_case "product" `Quick test_product;
     Alcotest.test_case "state denotation" `Quick test_state_denotation;
     Alcotest.test_case "state normalizes to r" `Quick test_state_normalizes_to_r;
     Alcotest.test_case "state equality and hash" `Quick test_state_equality_and_hash;
+    Alcotest.test_case "randomized op sequences" `Quick test_ops_random;
+    Alcotest.test_case "products" `Quick test_products;
+    Alcotest.test_case "hash-consing identity" `Quick test_hashcons_identity;
+    Alcotest.test_case "memo caches reset across domains" `Quick
+      test_clear_caches_across_domains;
   ]
   @ props

@@ -5,6 +5,7 @@
      dune exec bench/main.exe table1     # Table 1 reproduction only
      dune exec bench/main.exe fig1       # Figure 1 series
      dune exec bench/main.exe fig2       # Figure 2 series
+     dune exec bench/main.exe gpo        # GPO time against problem size
      dune exec bench/main.exe ablation   # design-choice ablations
      dune exec bench/main.exe scaling    # multicore speedup + portfolio
      dune exec bench/main.exe guard      # resource-guard polling overhead
@@ -69,6 +70,58 @@ let time f =
    repetitions — a smoke test that the job runs and the report schema
    holds, not a measurement. *)
 let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None
+
+(* ------------------------------------------------------------------ *)
+(* GPO time against problem size: the paper's Table 1 claim that GPO
+   runs in near-linear time while its state count stays flat.  Each
+   row times [Gpn.Explorer.analyse] in the default configuration (the
+   one [julie certify -e gpo] runs), set-up included; [states] is an
+   identity field, so a behaviour change fails the gate instead of
+   passing for a speedup. *)
+
+let gpo_scaling () =
+  let module J = Gpo_obs.Json in
+  section "GPO — time against problem size";
+  (* family, instance builder, smoke sizes, full sizes *)
+  let families =
+    [
+      ("nsdp", Models.Nsdp.make, [ 4; 6 ], [ 4; 6; 8; 10; 12 ]);
+      ("fig2", Models.Figures.fig2, [ 4; 6 ], [ 4; 6; 8; 10; 12 ]);
+      ("asat", Models.Asat.make, [ 2; 4 ], [ 2; 4; 8 ]);
+      ("over", Models.Over.make, [ 2; 3 ], [ 2; 3; 4; 5 ]);
+      ("rw", Models.Rw.make, [ 6; 12 ], [ 6; 9; 12; 15; 30; 45; 60 ]);
+    ]
+  in
+  let reps = if smoke then 1 else 3 in
+  Format.printf "%-8s %4s %8s %10s@." "family" "n" "states" "time";
+  let rows =
+    List.concat_map
+      (fun (family, make, smoke_ns, full_ns) ->
+        List.map
+          (fun n ->
+            let net = make n in
+            let best = ref infinity and states = ref 0 in
+            for _ = 1 to reps do
+              let r, t = time (fun () -> Gpn.Explorer.analyse net) in
+              states := r.Gpn.Explorer.states;
+              best := Float.min !best t
+            done;
+            Format.printf "%-8s %4d %8d %9.4fs@." family n !states !best;
+            J.Obj
+              [
+                ("family", J.String family);
+                ("n", J.Int n);
+                ("states", J.Int !states);
+                ("time_s", J.Float !best);
+              ])
+          (if smoke then smoke_ns else full_ns))
+      families
+  in
+  write_report "gpo"
+    (J.Obj
+       [ ("table", J.String "gpo"); ("smoke", J.Bool smoke); ("rows", J.List rows) ])
+
+(* ------------------------------------------------------------------ *)
 
 let ablation () =
   let module J = Gpo_obs.Json in
@@ -918,8 +971,8 @@ let () =
     | _ :: (_ :: _ as args) -> args
     | _ ->
         [
-          "table1"; "fig1"; "fig2"; "ablation"; "scaling"; "guard"; "reduce";
-          "serve"; "persist"; "micro";
+          "table1"; "fig1"; "fig2"; "gpo"; "ablation"; "scaling"; "guard";
+          "reduce"; "serve"; "persist"; "micro";
         ]
   in
   List.iter
@@ -927,6 +980,7 @@ let () =
       | "table1" -> table1 ()
       | "fig1" -> fig1 ()
       | "fig2" -> fig2 ()
+      | "gpo" -> gpo_scaling ()
       | "ablation" -> ablation ()
       | "scaling" -> scaling ()
       | "guard" -> guard_overhead ()
@@ -936,8 +990,8 @@ let () =
       | "micro" -> micro ()
       | other ->
           Format.eprintf
-            "unknown job %S (expected table1, fig1, fig2, ablation, scaling, \
-             guard, reduce, serve, persist, micro)@."
+            "unknown job %S (expected table1, fig1, fig2, gpo, ablation, \
+             scaling, guard, reduce, serve, persist, micro)@."
             other;
           exit 2)
     jobs

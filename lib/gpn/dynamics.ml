@@ -60,11 +60,15 @@ let cluster_alternatives ctx = ctx.alternatives
 let initial ctx = ctx.initial
 
 (* Maximal independent sets of the conflict relation restricted to a
-   cluster, by Bron-Kerbosch on the independence ("non-conflict")
-   adjacency.  Clusters are small in practice (a handful of
-   transitions competing for shared places), and cliques — the worst
-   case for state count — are the best case here (each MIS is a
-   singleton). *)
+   cluster: the maximal cliques of the independence ("non-conflict")
+   adjacency, by Bron-Kerbosch with Tomita's pivot (Tomita, Tanaka &
+   Takahashi, TCS 363, 2006).  Each call branches only on the
+   candidates outside the neighbourhood of the pivot that covers most
+   candidates, which bounds the enumeration on k transitions by
+   O(3^(k/3)), the most maximal sets k transitions can have; RW's n
+   mutually independent readers cost O(n) calls instead of 2^n.  The
+   sets come back sorted by [Bitset.compare], a function of the
+   cluster alone. *)
 let maximal_independent_sets conflict members =
   let width = Bitset.width members in
   let independent v =
@@ -74,22 +78,29 @@ let maximal_independent_sets conflict members =
   let rec bron_kerbosch r p x =
     if Bitset.is_empty p && Bitset.is_empty x then results := r :: !results
     else begin
+      let pivot, _ =
+        Bitset.fold
+          (fun u (_, best as acc) ->
+            let covered = Bitset.cardinal (Bitset.inter p (independent u)) in
+            if covered > best then (u, covered) else acc)
+          (Bitset.union p x) (-1, -1)
+      in
+      let branches = Bitset.diff p (independent pivot) in
       let p = ref p and x = ref x in
       Bitset.iter
         (fun v ->
-          if Bitset.mem v !p then begin
-            let n = independent v in
-            bron_kerbosch (Bitset.add v r) (Bitset.inter !p n) (Bitset.inter !x n);
-            p := Bitset.remove v !p;
-            x := Bitset.add v !x
-          end)
-        members
+          let n = independent v in
+          bron_kerbosch (Bitset.add v r) (Bitset.inter !p n) (Bitset.inter !x n);
+          p := Bitset.remove v !p;
+          x := Bitset.add v !x)
+        branches
     end
   in
   bron_kerbosch (Bitset.empty width) members (Bitset.empty width);
-  !results
+  List.sort Bitset.compare !results
 
 let make ?conflict (net : Petri.Net.t) =
+  Gpo_obs.Span.time "gpo.setup" @@ fun () ->
   let conflict =
     match conflict with Some c -> c | None -> Petri.Conflict.analyse net
   in

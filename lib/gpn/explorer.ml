@@ -425,7 +425,7 @@ let explore ?(reduction = Batched) ?(thorough = true) ?(scan = true)
         match !current with Some v -> v | None -> assert false
       in
       current := None;
-      let en = enabling ctx s in
+      let en = Gpo_obs.Span.time "gpo.enabling" (fun () -> enabling ctx s) in
       if Gpo_obs.enabled () then begin
         Gpo_obs.Dist.observe_int d_worlds (W.cardinal (State.valid s));
         Gpo_obs.Progress.sample "gpo" (fun () ->

@@ -483,16 +483,41 @@ let elements t =
      of the contents (and [pp] stays deterministic). *)
   List.sort B.compare (fold (fun w acc -> w :: acc) t [])
 
-let of_list worlds = List.fold_left (fun acc w -> add w acc) Empty worlds
-
-let product width factors =
-  let seed = singleton (B.empty width) in
-  let extend acc factor =
-    fold
-      (fun prefix out -> fold (fun w out -> add (B.union prefix w) out) factor out)
-      acc Empty
+(* Bottom-up: the worlds are interned once and sorted by key, and each
+   trie node is consed once.  Splitting a sorted run of keys at the
+   highest bit on which its ends differ yields exactly the canonical
+   trie that inserting the worlds one by one would. *)
+let of_list worlds =
+  (* Equal worlds intern to one leaf. *)
+  let leaves =
+    Array.of_list
+      (List.sort_uniq
+         (fun a b -> Int.compare (B.id a) (B.id b))
+         (List.map B.intern worlds))
   in
-  List.fold_left extend seed factors
+  let key i = B.id leaves.(i) in
+  let rec build lo hi =
+    if hi - lo = 1 then leaf leaves.(lo)
+    else begin
+      let bit = branching_bit (key lo) (key (hi - 1)) in
+      let mid = ref lo in
+      while zero_bit (key !mid) bit do incr mid done;
+      branch (mask (key lo) bit) bit (build lo !mid) (build !mid hi)
+    end
+  in
+  if Array.length leaves = 0 then Empty else build 0 (Array.length leaves)
+
+(* One pass: the product's worlds are plain bit-set unions, and only
+   the final ones are interned (two factors may union to the same
+   world; [of_list] keeps one). *)
+let product width factors =
+  of_list
+    (List.fold_left
+       (fun prefixes factor ->
+         List.concat_map
+           (fun prefix -> fold (fun w out -> B.union prefix w :: out) factor [])
+           prefixes)
+       [ B.empty width ] factors)
 
 let pp ?name () ppf ws =
   Format.fprintf ppf "{%a}"

@@ -159,6 +159,18 @@ let test_span_double_exit () =
   Alcotest.(check bool) "nesting intact after double exit" true
     (List.mem "outer/inner" names)
 
+(* GPO set-up (conflict analysis, alternatives, r0) and the per-state
+   enabling relation each run under a span of their own. *)
+let test_gpo_phase_spans () =
+  let sink, _ = Obs.memory_sink () in
+  Obs.with_sink sink (fun () ->
+      ignore (Harness.Engine.run Harness.Engine.Gpo (Models.Figures.fig2 4)));
+  let names = List.map fst (Obs.snapshot ()).Obs.spans in
+  List.iter
+    (fun path ->
+      Alcotest.(check bool) (path ^ " recorded") true (List.mem path names))
+    [ "engine.gpo/gpo.setup"; "engine.gpo/gpn.worker/gpo.enabling" ]
+
 (* ------------------------------------------------------------------ *)
 (* Chrome trace export                                                 *)
 
@@ -347,6 +359,8 @@ let suite =
     Alcotest.test_case "span misnesting recovery" `Quick
       test_span_misnesting_recovery;
     Alcotest.test_case "span double exit" `Quick test_span_double_exit;
+    Alcotest.test_case "GPO set-up and enabling spans" `Quick
+      test_gpo_phase_spans;
     Alcotest.test_case "trace well-formed" `Quick test_trace_well_formed;
     Alcotest.test_case "trace sanitizes unbalanced spans" `Quick
       test_trace_sanitizes_unbalanced;

@@ -255,6 +255,84 @@ let test_initial_of_marking () =
   check_marking net "denotation" [ "p2"; "p3" ]
     (List.hd (Gpn.State.mapping s))
 
+(* ------------------------------------------------------------------ *)
+(* Cluster alternatives against brute force.                          *)
+
+(* A net whose conflict relation is the graph [edges] on [n]
+   transitions: each transition consumes a private place, and each
+   edge a place its two ends share. *)
+let net_of_conflicts n edges =
+  let b = Petri.Builder.create "conflicts" in
+  let place name = Petri.Builder.place b ~marked:true name in
+  let own = Array.init n (fun t -> place (Printf.sprintf "own%d" t)) in
+  let shared =
+    List.map (fun (u, v) -> (u, v, place (Printf.sprintf "e%d_%d" u v))) edges
+  in
+  for t = 0 to n - 1 do
+    let pre =
+      own.(t)
+      :: List.filter_map
+           (fun (u, v, p) -> if u = t || v = t then Some p else None)
+           shared
+    in
+    ignore (Petri.Builder.transition b (Printf.sprintf "t%d" t) ~pre ~post:pre)
+  done;
+  Petri.Builder.build b
+
+(* Every subset of the cluster that is conflict-free and cannot grow. *)
+let brute_force_alternatives conflict members =
+  let ms = Array.of_list (B.elements members) in
+  let independent s =
+    B.for_all
+      (fun u ->
+        B.for_all
+          (fun v -> u = v || not (Petri.Conflict.in_conflict conflict u v))
+          s)
+      s
+  in
+  let subset mask =
+    let s = ref (B.empty (B.width members)) in
+    Array.iteri (fun i t -> if mask land (1 lsl i) <> 0 then s := B.add t !s) ms;
+    !s
+  in
+  let maximal s =
+    Array.for_all (fun v -> B.mem v s || not (independent (B.add v s))) ms
+  in
+  List.init (1 lsl Array.length ms) subset
+  |> List.filter (fun s -> independent s && maximal s)
+  |> List.sort B.compare
+
+let test_alternatives_brute_force () =
+  let st = Random.State.make [| 0xa17 |] in
+  let pairs n = List.concat (List.init n (fun u -> List.init u (fun v -> (v, u)))) in
+  for case = 0 to 199 do
+    let n = 1 + Random.State.int st 10 in
+    let edges =
+      match case mod 4 with
+      | 0 -> pairs n (* a clique: every alternative is a singleton *)
+      | 1 -> [] (* edgeless: no choice clusters at all *)
+      | 2 ->
+          (* RW-shaped: mutually independent readers 0..k-1, and writers
+             in conflict with every other transition. *)
+          let k = Random.State.int st (n + 1) in
+          List.filter (fun (_, u) -> u >= k) (pairs n)
+      | _ ->
+          let density = Random.State.float st 1.0 in
+          List.filter (fun _ -> Random.State.float st 1.0 < density) (pairs n)
+    in
+    let net = net_of_conflicts n edges in
+    let conflict = Petri.Conflict.analyse net in
+    let expected =
+      Array.to_list (Petri.Conflict.clusters conflict)
+      |> List.filter (fun members -> B.cardinal members >= 2)
+      |> List.map (brute_force_alternatives conflict)
+    in
+    let got = Gpn.Dynamics.cluster_alternatives (Gpn.Dynamics.make ~conflict net) in
+    if not (List.equal (List.equal B.equal) expected got) then
+      Alcotest.failf "case %d (%d transitions, %d conflicts): alternatives differ"
+        case n (List.length edges)
+  done
+
 let suite =
   [
     Alcotest.test_case "figure 3 replay" `Quick test_fig3_replay;
@@ -267,4 +345,6 @@ let suite =
       test_batch_single_fire_equals_sequential;
     Alcotest.test_case "combined step" `Quick test_step_fire_combines;
     Alcotest.test_case "initial of marking" `Quick test_initial_of_marking;
+    Alcotest.test_case "cluster alternatives = brute force" `Quick
+      test_alternatives_brute_force;
   ]

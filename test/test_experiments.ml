@@ -78,6 +78,18 @@ let test_nsdp_gpo_stays_fast () =
   Alcotest.(check bool) "n=12 deadlocks" true (not deadlock_free);
   Alcotest.(check bool) "n=12 stays fast" true (cpu_s < 1.0)
 
+let test_rw_gpo_stays_fast () =
+  (* RW's readers are mutually independent, so its one conflict cluster
+     has n+1 alternatives (all readers, or one writer) but 2^n
+     independent subsets: set-up must enumerate the former without
+     visiting the latter.  The default configuration, in process CPU
+     time. *)
+  let t0 = Sys.time () in
+  let r = Gpn.Explorer.analyse (Models.Rw.make 24) in
+  let cpu_s = Sys.time () -. t0 in
+  Alcotest.(check int) "rw-24 needs 2 states" 2 r.Gpn.Explorer.states;
+  Alcotest.(check bool) "rw-24 stays fast" true (cpu_s < 1.0)
+
 let test_rw_po_degenerates () =
   (* "For RW ... this is also visible in the reduced state space which
      equals the complete state space" — with our stronger stubborn sets
@@ -167,4 +179,5 @@ let suite =
     Alcotest.test_case "figure 1 series" `Quick test_fig1_series;
     Alcotest.test_case "figure 2 series" `Quick test_fig2_series;
     Alcotest.test_case "table 1 renders" `Quick test_table1_renders;
+    Alcotest.test_case "RW GPO stays fast" `Quick test_rw_gpo_stays_fast;
   ]

@@ -162,27 +162,94 @@ let test_ops_random () =
 
 (* Cartesian products, exercised separately: the pool sets above can
    grow too large to multiply safely. *)
+let r_product width factors =
+  List.fold_left
+    (fun acc factor ->
+      R.fold
+        (fun prefix out -> R.fold (fun w out -> R.add (B.union prefix w) out) factor out)
+        acc R.empty)
+    (R.singleton (B.empty width))
+    factors
+
+(* [product] against the reference, and against the canonical set:
+   building the product's worlds in one pass must hash-cons to the
+   very nodes that inserting them one by one does. *)
+let check_product ctx width factors =
+  let h = W.product width (List.map W.of_list factors) in
+  let r = r_product width (List.map R.of_list factors) in
+  check_pair ctx (h, r);
+  let worlds = R.elements r in
+  if not (W.equal h (W.of_list worlds)) then
+    Alcotest.failf "%s: product differs from of_list" ctx;
+  if not (W.equal h (List.fold_left (fun acc w -> W.add w acc) W.empty worlds))
+  then Alcotest.failf "%s: product differs from repeated add" ctx;
+  h
+
 let test_products () =
   let st = Random.State.make [| 0xbeef |] in
-  let r_product factors =
-    List.fold_left
-      (fun acc factor ->
-        R.fold
-          (fun prefix out -> R.fold (fun w out -> R.add (B.union prefix w) out) factor out)
-          acc R.empty)
-      (R.singleton (B.empty width))
-      factors
-  in
   for case = 0 to 99 do
     let factors =
       List.init
         (1 + Random.State.int st 3)
         (fun _ -> List.init (1 + Random.State.int st 3) (fun _ -> random_world st))
     in
-    let h = W.product width (List.map W.of_list factors) in
-    let r = r_product (List.map R.of_list factors) in
-    check_pair (Printf.sprintf "product case %d" case) (h, r)
-  done
+    ignore (check_product (Printf.sprintf "product case %d" case) width factors)
+  done;
+  (* r0-sized products: 8-12 two- or three-way factors over disjoint
+     transition ranges, as conflict clusters are, so every choice is a
+     distinct world. *)
+  let wide = 36 in
+  for case = 0 to 5 do
+    let size = ref 1 in
+    let k = 8 + Random.State.int st 5 in
+    let factors =
+      List.init k (fun i ->
+          (* At most 4 096 worlds: three ways only while the factors
+             left, two ways each, stay within the bound. *)
+          let arity =
+            if Random.State.bool st && !size * (3 lsl (k - i - 1)) <= 4_096 then 3
+            else 2
+          in
+          size := !size * arity;
+          (* Distinct non-empty subsets of the bits 3i, 3i+1, 3i+2. *)
+          let rec pick masks =
+            if List.length masks = arity then masks
+            else begin
+              let m = 1 + Random.State.int st 7 in
+              pick (if List.mem m masks then masks else m :: masks)
+            end
+          in
+          List.map
+            (fun m ->
+              B.of_list wide
+                (List.filter_map
+                   (fun b -> if m land (1 lsl b) <> 0 then Some ((3 * i) + b) else None)
+                   [ 0; 1; 2 ]))
+            (pick []))
+    in
+    let h = check_product (Printf.sprintf "large product %d" case) wide factors in
+    Alcotest.(check int) (Printf.sprintf "large product %d size" case) !size
+      (W.cardinal h)
+  done;
+  (* Unions that collide: {0}∪{1}, {0,1}∪{1} and {0,1}∪∅ are one world. *)
+  let v = B.of_list width in
+  let h = check_product "colliding unions" width [ [ v [ 0 ]; v [ 0; 1 ] ]; [ v [ 1 ]; v [] ] ] in
+  Alcotest.(check int) "colliding unions: 2 worlds" 2 (W.cardinal h);
+  for case = 0 to 9 do
+    (* Eight to ten factors over 5 transitions: far more choices than
+       the 32 worlds they can union to. *)
+    let factors =
+      List.init
+        (8 + Random.State.int st 3)
+        (fun _ ->
+          List.init (2 + Random.State.int st 2) (fun _ ->
+              v (List.filter (fun _ -> Random.State.bool st) [ 0; 1; 2; 3; 4 ])))
+    in
+    ignore (check_product (Printf.sprintf "collisions %d" case) width factors)
+  done;
+  (* An empty factor leaves no choice at all. *)
+  let h = check_product "empty factor" width [ [ v [ 0 ]; v [ 1 ] ]; []; [ v [ 2 ] ] ] in
+  Alcotest.(check bool) "empty factor: empty product" true (W.is_empty h)
 
 (* Interning invariant: structural equality coincides with physical
    equality. *)

@@ -7,7 +7,7 @@
      dune exec bench/main.exe fig2       # Figure 2 series
      dune exec bench/main.exe gpo        # GPO time against problem size
      dune exec bench/main.exe ablation   # design-choice ablations
-     dune exec bench/main.exe scaling    # multicore speedup + portfolio
+     dune exec bench/main.exe scaling    # GPO wave speedup + portfolio
      dune exec bench/main.exe guard      # resource-guard polling overhead
      dune exec bench/main.exe reduce     # structural reduction ratio/speedup
      dune exec bench/main.exe serve      # warm-state service latency
@@ -247,67 +247,21 @@ let ablation () =
        ])
 
 (* ------------------------------------------------------------------ *)
-(* Scaling: domain-parallel exploration at 1/2/4 workers, the parallel
-   GPN explorer on restart-heavy nets, and the racing portfolio against
-   each single engine.  The report records the host's recommended
-   domain count: on a single-core host the speedup columns measure
-   sharding/wave overhead, not parallelism, and read near (or below)
-   1x by design.                                                       *)
+(* Scaling: the wave-parallel GPN explorer at 1/2/4 domains on
+   restart-heavy nets, and the racing portfolio against each single
+   engine.  The report records the host's recommended domain count: on
+   a single-core host the speedup column measures wave overhead, not
+   parallelism, and reads near (or below) 1x by design.                *)
 
 let scaling () =
   let module J = Gpo_obs.Json in
-  section "Scaling — domain-parallel explicit exploration (1/2/4 workers)";
+  section "Scaling — parallel GPN exploration (1/2/4 domains)";
   let cores = Domain.recommended_domain_count () in
   Format.printf
     "host: %d recommended domain(s); speedup is vs the same binary at jobs=1@.@."
     cores;
-  let nets =
-    if smoke then
-      [ ("nsdp-6", Models.Nsdp.make 6); ("rw-8", Models.Rw.make 8) ]
-    else
-      [
-        ("nsdp-7", Models.Nsdp.make 7);
-        ("rw-11", Models.Rw.make 11);
-        ("fig2-9", Models.Figures.fig2 9);
-        ("asat-4", Models.Asat.make 4);
-      ]
-  in
   let reps = if smoke then 2 else 3 in
   let job_counts = [ 1; 2; 4 ] in
-  Format.printf "%-10s %10s %6s %10s %9s@." "net" "states" "jobs" "time"
-    "speedup";
-  let rows = ref [] in
-  List.iter
-    (fun (name, net) ->
-      let base = ref nan in
-      List.iter
-        (fun jobs ->
-          let best = ref infinity and states = ref 0 in
-          for _ = 1 to reps do
-            let r, t =
-              time (fun () -> Petri.Reachability.explore_par ~jobs net)
-            in
-            if t < !best then best := t;
-            states := r.Petri.Reachability.states
-          done;
-          if jobs = 1 then base := !best;
-          let speedup = !base /. !best in
-          Format.printf "%-10s %10d %6d %9.3fs %8.2fx@." name !states jobs
-            !best speedup;
-          rows :=
-            J.Obj
-              [
-                ("net", J.String name);
-                ("jobs", J.Int jobs);
-                ("states", J.Int !states);
-                ("time_s", J.Float !best);
-                ("speedup", J.Float speedup);
-              ]
-            :: !rows)
-        job_counts;
-      Format.printf "@.")
-    nets;
-  section "Scaling — parallel GPN exploration (1/2/4 domains)";
   Format.printf
     "workload: over(k) with the deviation scan — many restart runs per@.\
      wave, the unit the GPO explorer parallelizes over.@.@.";
@@ -396,7 +350,6 @@ let scaling () =
          ("table", J.String "scaling");
          ("cores", J.Int cores);
          ("smoke", J.Bool smoke);
-         ("exploration", J.List (List.rev !rows));
          ("gpn", J.List (List.rev !gpn_rows));
          ("portfolio", J.List (List.rev !pf_rows));
        ])

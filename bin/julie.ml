@@ -181,11 +181,11 @@ let max_states_arg =
 
 let jobs_arg =
   let doc =
-    "Worker domains for parallel exploration (full, po, and gpo — the GPO \
-     explorer fans each wave of runs out over $(docv) domains); 0 means \
-     auto (the recommended domain count for this machine).  With \
-     $(b,-e portfolio) the racing entrants additionally get $(docv) workers \
-     each for their own exploration."
+    "GPO wave workers: the GPO explorer fans each wave of runs out over \
+     $(docv) domains, with the same result as one; 0 means auto (the \
+     recommended domain count for this machine).  The full, po and smv \
+     engines run on one domain and ignore it.  With $(b,-e portfolio) it \
+     applies to the GPO entrant."
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
@@ -546,6 +546,13 @@ let serve socket port host jobs queue_limit max_requests cache_dir io_timeout_s
   exit_ok
 
 let serve_cmd =
+  let jobs =
+    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
+           ~doc:"Worker domains the daemon fans each batch's jobs out over; \
+                 0 means auto (the recommended domain count for this \
+                 machine).  A job's own GPO wave workers come from its wire \
+                 $(b,jobs) field.")
+  in
   let queue_limit =
     Arg.(value & opt int 64 & info [ "queue-limit" ] ~docv:"N"
            ~doc:"Bounded admission queue: a batch whose jobs would push the \
@@ -584,7 +591,7 @@ let serve_cmd =
             accepting, finish in-flight work, flush the journal, exit 0)."
   in
   Cmd.v info
-    Term.(const serve $ socket_arg $ port_arg $ host_arg $ jobs_arg
+    Term.(const serve $ socket_arg $ port_arg $ host_arg $ jobs
           $ queue_limit $ max_requests $ cache_dir $ io_timeout_s $ obs_term)
 
 let jobs_of_batch_text text =

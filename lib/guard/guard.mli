@@ -115,13 +115,12 @@ val relieve_memory : unit -> unit
 
     A global, seeded schedule of simulated faults at named probe
     points in the engine hot loops ([Reachability]/[Stubborn] share
-    ["reach.step"] and ["reach.par.step"]; ["gpo.step"], ["smv.iter"];
-    the interning layer has ["bitset.intern"] and ["worldset.op"]; the
-    witness walk-backs have ["reach.witness"], ["smv.witness"],
-    ["gpo.witness"]; the structural reduction pipeline probes
-    ["reduce.rule"] once per rule pass).  When disabled — the default —
-    a probe is one
-    atomic load and a branch.  When enabled, each probe draws from a
+    ["reach.step"]; ["gpo.step"], ["smv.iter"]; the interning layer
+    has ["bitset.intern"] and ["worldset.op"]; the witness walk-backs
+    have ["reach.witness"], ["smv.witness"], ["gpo.witness"]; the
+    structural reduction pipeline probes ["reduce.rule"] once per rule
+    pass).  When disabled — the default — a probe is one atomic load
+    and a branch.  When enabled, each probe draws from a
     splitmix-style PRNG keyed on [(seed, site, per-site call index)],
     so a given seed yields the same fault schedule on every run: the
     chaos suite replays failures exactly.

@@ -48,34 +48,14 @@ let run ?(max_states = 5_000_000) ?(witness = false) ?(gpo_scan = true)
     in
     let net = match reduction with Some r -> r.Reduce.net | None -> net in
     let outcome = match kind with
-    | Full ->
-        let r, time_s =
-          timed (fun () ->
-              if jobs > 1 then
-                Petri.Reachability.explore_par ~jobs ~max_states ~traces:witness
-                  ?cancel ?guard net
-              else
-                Petri.Reachability.explore ~max_states ~traces:witness ?cancel
-                  ?guard net)
+    | Full | Stubborn ->
+        let explore =
+          if kind = Full then Petri.Reachability.explore ?strategy:None
+          else Petri.Stubborn.explore ?heuristic:None
         in
-        {
-          kind;
-          states = float_of_int r.states;
-          metric = float_of_int r.states;
-          deadlock = r.deadlock_count > 0;
-          time_s;
-          stop = r.stop;
-          witness = (if witness then explicit_witness ?cancel r else None);
-        }
-    | Stubborn ->
         let r, time_s =
           timed (fun () ->
-              if jobs > 1 then
-                Petri.Stubborn.explore_par ~jobs ~max_states ~traces:witness
-                  ?cancel ?guard net
-              else
-                Petri.Stubborn.explore ~max_states ~traces:witness ?cancel
-                  ?guard net)
+              explore ~max_states ~traces:witness ?cancel ?guard net)
         in
         {
           kind;

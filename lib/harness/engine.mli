@@ -64,12 +64,11 @@ val run :
     tripped — is caught here as well: the registered caches are
     dropped ({!Guard.relieve_memory}) and the run degrades to an
     outcome with [stop = Memory] instead of crashing.
-    [jobs] (default [1]) selects domain-parallel exploration for the
-    explicit engines ([Full]/[Stubborn] via
-    {!Petri.Reachability.explore_par}) and for the GPO engine, whose
-    explorer fans each wave of runs out over a domain pool
-    ({!Gpn.Explorer.analyse} with [~jobs]); only the symbolic engine
-    is single-domain by design and ignores it.
+    [jobs] (default [1]) is the number of GPO wave workers: the GPO
+    explorer fans each wave of runs out over a pool of that many
+    domains ({!Gpn.Explorer.analyse} with [~jobs]), with results
+    bit-identical to [jobs = 1].  The full, spin+po and smv engines
+    run on one domain and ignore it.
 
     [gpo_scan] (default [true]) selects the GPO configuration and is
     ignored by the other engines.  The default is the complete

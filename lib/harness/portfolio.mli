@@ -43,9 +43,9 @@ val run :
 (** Race [engines] (default [Stubborn; Symbolic; Gpo] — the three
     reduced engines; add [Full] explicitly if wanted) on [net].
     [max_states] and [witness] are forwarded to every {!Engine.run}
-    (GPO races in its complete configuration); [jobs] additionally lets
-    the explicit and GPO entrants use domain-parallel exploration inside
-    their own race lane.  [reduce] applies the structural reduction pipeline
+    (GPO races in its complete configuration); [jobs] sets the GPO
+    entrant's wave workers inside its own race lane.  [reduce] applies
+    the structural reduction pipeline
     ({!Reduce.run}) {e once}, before the race, so every entrant
     explores the same reduced net and the reduction counters count a
     single pipeline run; the winner's witness is lifted back to the

@@ -40,7 +40,7 @@ val selection_name : selection -> string
 
 type budgets = {
   max_states : int;  (** State budget of the explicit and GPO engines. *)
-  jobs : int;  (** Worker domains per engine run; [0] = auto. *)
+  jobs : int;  (** GPO wave workers per engine run; [0] = auto. *)
   timeout_s : float option;  (** Wall-clock deadline per engine run. *)
   mem_mb : int option;  (** Soft heap budget per engine run. *)
 }

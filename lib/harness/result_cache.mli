@@ -77,8 +77,9 @@ val key :
     the remaining fields are the {!Engine.run} switches that change
     what a run computes.  [semantics] defaults to
     {!semantics_version} and is exposed for the differential tests
-    only.  Worker count is deliberately {e not} part of the key: the
-    engines are proven bit-identical across [jobs]. *)
+    only.  Worker count is deliberately {e not} part of the key: it
+    only sets the GPO wave workers, whose results are bit-identical
+    across [jobs] (the explicit and symbolic engines ignore it). *)
 
 val render : key -> string
 (** Stable one-line rendering of a key (diagnostics, tests). *)

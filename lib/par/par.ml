@@ -1,11 +1,11 @@
 (* Multicore execution primitives for the verification engines: a
-   cooperative cancellation token, a fixed pool of OCaml 5 domains, and
-   per-worker work queues with stealing.
+   cooperative cancellation token and a fixed pool of OCaml 5 domains.
 
-   The engines themselves stay written in direct style; parallel
-   drivers (Reachability.explore_par, Harness.Portfolio) build on these
-   three pieces.  Everything here is domain-safe; the only global state
-   is the telemetry counters, which are atomic. *)
+   The engines themselves stay written in direct style; the parallel
+   drivers (the GPO explorer's waves, Harness.Portfolio, the service
+   scheduler) build on these two pieces.  Everything here is
+   domain-safe; the only global state is the telemetry counters, which
+   are atomic. *)
 
 (* Telemetry: how often cancellation was requested and how often a
    running engine actually observed a request and stopped.  The
@@ -13,7 +13,6 @@
    were cancelled rather than left to finish. *)
 let c_cancel_requests = Gpo_obs.Counter.make "par.cancel.requests"
 let c_cancel_observed = Gpo_obs.Counter.make "par.cancel.observed"
-let c_steals = Gpo_obs.Counter.make "par.steals"
 let c_tasks = Gpo_obs.Counter.make "par.pool.tasks"
 
 module Cancel = struct
@@ -83,6 +82,14 @@ module Pool = struct
     in
     loop ()
 
+  let shutdown pool =
+    Mutex.lock pool.mutex;
+    pool.stop <- true;
+    Condition.broadcast pool.work;
+    Mutex.unlock pool.mutex;
+    List.iter Domain.join pool.domains;
+    pool.domains <- []
+
   let create ?jobs () =
     let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
     let pool =
@@ -97,16 +104,18 @@ module Pool = struct
         domains = [];
       }
     in
-    pool.domains <- List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker pool));
+    (* A spawn fails once OCaml's cap on live domains is reached.  The
+       workers spawned before it would wait on [work] forever, so stop
+       and join them before re-raising. *)
+    (try
+       for _ = 2 to jobs do
+         pool.domains <- Domain.spawn (fun () -> worker pool) :: pool.domains
+       done
+     with e ->
+       let bt = Printexc.get_raw_backtrace () in
+       shutdown pool;
+       Printexc.raise_with_backtrace e bt);
     pool
-
-  let shutdown pool =
-    Mutex.lock pool.mutex;
-    pool.stop <- true;
-    Condition.broadcast pool.work;
-    Mutex.unlock pool.mutex;
-    List.iter Domain.join pool.domains;
-    pool.domains <- []
 
   (* Run every thunk to completion, the calling domain participating as
      a worker.  Exceptions do not tear the pool down: the first one (in
@@ -163,72 +172,4 @@ module Pool = struct
   let with_pool ?jobs f =
     let pool = create ?jobs () in
     Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
-end
-
-module Wsq = struct
-  (* Per-worker work queues with stealing.  Owners push and pop at the
-     back (depth-first on their own work keeps the frontier compact);
-     thieves steal from the front, taking the oldest — hence shallowest
-     and usually largest — subtree.  A mutex per queue is plenty here:
-     queue operations are tiny next to the per-state work of the
-     engines, and stealing only happens when a worker has run dry. *)
-  type 'a t = { mutex : Mutex.t; mutable front : 'a list; mutable back : 'a list }
-
-  let create () = { mutex = Mutex.create (); front = []; back = [] }
-
-  let push q x =
-    Mutex.lock q.mutex;
-    q.back <- x :: q.back;
-    Mutex.unlock q.mutex
-
-  let pop q =
-    Mutex.lock q.mutex;
-    let r =
-      match q.back with
-      | x :: rest ->
-          q.back <- rest;
-          Some x
-      | [] -> (
-          match q.front with
-          | x :: rest ->
-              q.front <- rest;
-              Some x
-          | [] -> None)
-    in
-    Mutex.unlock q.mutex;
-    r
-
-  let steal q =
-    Mutex.lock q.mutex;
-    (* Normalize so the oldest element sits at the head of [front]. *)
-    if q.front = [] then begin
-      q.front <- List.rev q.back;
-      q.back <- []
-    end;
-    let r =
-      match q.front with
-      | x :: rest ->
-          q.front <- rest;
-          Some x
-      | [] -> None
-    in
-    Mutex.unlock q.mutex;
-    if r <> None then Gpo_obs.Counter.incr c_steals;
-    r
-
-  (* Grab work for worker [w]: its own queue first, then round-robin
-     over the victims. *)
-  let take_any queues w =
-    let n = Array.length queues in
-    match pop queues.(w) with
-    | Some _ as r -> r
-    | None ->
-        let rec try_victim i =
-          if i >= n then None
-          else
-            match steal queues.((w + i) mod n) with
-            | Some _ as r -> r
-            | None -> try_victim (i + 1)
-        in
-        try_victim 1
 end

@@ -1,6 +1,6 @@
 (** Multicore execution primitives (OCaml 5 domains).
 
-    Three building blocks for the parallel drivers:
+    Two building blocks for the parallel drivers:
 
     - {!Cancel} — a cooperative cancellation token.  Engines poll it in
       their step loops ({!Cancel.check}) and unwind with
@@ -11,14 +11,13 @@
       [Domain.recommended_domain_count] unless told otherwise.  The
       calling domain participates in every {!Pool.run}, so a pool of
       size [n] really computes with [n] domains while only [n - 1] are
-      spawned.
-    - {!Wsq} — per-worker work queues with stealing, the frontier
-      structure of the parallel explicit exploration.
+      spawned.  The GPO explorer runs each wave of restart runs on
+      one; the service scheduler fans a batch's jobs out over another.
 
     Telemetry: [par.cancel.requests] / [par.cancel.observed] count
     cancellation handshakes (the tests use the latter to prove losers
-    actually stopped), [par.steals] counts successful steals and
-    [par.pool.tasks] the tasks executed by pools. *)
+    actually stopped) and [par.pool.tasks] the tasks executed by
+    pools. *)
 
 (** Cooperative cancellation. *)
 module Cancel : sig
@@ -58,7 +57,10 @@ module Pool : sig
   val create : ?jobs:int -> unit -> t
   (** Spawn a pool of [jobs] workers (default {!default_jobs}; clamped
       to at least 1).  [jobs - 1] domains are spawned — the caller is
-      the remaining worker. *)
+      the remaining worker.  If a spawn fails (OCaml caps the number of
+      live domains), the domains already spawned are stopped and joined
+      before the exception is re-raised, so a failed [create] leaves no
+      worker behind. *)
 
   val size : t -> int
   (** The worker count [jobs] the pool was created with. *)
@@ -80,27 +82,4 @@ module Pool : sig
 
   val with_pool : ?jobs:int -> (t -> 'a) -> 'a
   (** [create], run, [shutdown] (also on exceptions). *)
-end
-
-(** Per-worker work queues with stealing. *)
-module Wsq : sig
-  type 'a t
-
-  val create : unit -> 'a t
-
-  val push : 'a t -> 'a -> unit
-  (** Owner push (back of the queue). *)
-
-  val pop : 'a t -> 'a option
-  (** Owner pop, newest first (depth-first on local work).  After a
-      steal has normalized the queue, the remaining pre-steal elements
-      drain in FIFO order. *)
-
-  val steal : 'a t -> 'a option
-  (** Thief pop, oldest first. *)
-
-  val take_any : 'a t array -> int -> 'a option
-  (** [take_any queues w]: pop worker [w]'s own queue, else steal
-      round-robin from the others; [None] only when every queue was
-      observed empty. *)
 end

@@ -14,7 +14,6 @@ let c_edges = Gpo_obs.Counter.make "reach.edges"
 let c_dedup_hits = Gpo_obs.Counter.make "reach.dedup_hits"
 let c_deadlocks = Gpo_obs.Counter.make "reach.deadlocks"
 let g_load_factor = Gpo_obs.Gauge.make "reach.table.load_factor"
-let g_workers = Gpo_obs.Gauge.make "reach.workers"
 
 type result = {
   net : Net.t;
@@ -47,7 +46,7 @@ let report_load_factor table =
     (float_of_int stats.Hashtbl.num_bindings
     /. float_of_int (max 1 stats.Hashtbl.num_buckets))
 
-let explore_seq ?(strategy = full) ?(max_states = 10_000_000) ?(max_deadlocks = 16)
+let explore ?(strategy = full) ?(max_states = 10_000_000) ?(max_deadlocks = 16)
     ?(traces = false) ?cancel ?guard (net : Net.t) =
   let size_hint = table_size_hint net max_states in
   let visited = Marking_table.create size_hint in
@@ -126,277 +125,6 @@ let explore_seq ?(strategy = full) ?(max_states = 10_000_000) ?(max_deadlocks = 
     predecessor;
     visited;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Domain-parallel exploration                                         *)
-
-(* The visited set is split into shards owned by marking digest
-   ([Bitset.hash] is the stored digest, so sharding is free).  Each
-   shard carries its own mutex, hash table, and — when traces are
-   requested — its own predecessor map, so first-reach parents live
-   next to the marking they explain and [--witness] reconstruction
-   works after a merge.  Workers keep discovered markings in their own
-   work queue and steal when they run dry; termination is an atomic
-   count of enqueued-but-unfinished markings. *)
-type shard = {
-  lock : Mutex.t;
-  table : unit Marking_table.t;
-  pred : (Net.transition * Bitset.t) Marking_table.t option;
-}
-
-(* Per-worker accumulation, merged after the join: no shared cell is
-   touched on the hot path except the visited shards and the three
-   coordination atomics. *)
-type worker_acc = {
-  mutable w_edges : int;
-  mutable w_dedup : int;
-  mutable w_deadlock_count : int;
-  mutable w_deadlocks : Bitset.t list;
-  mutable w_unsafe_count : int;
-  mutable w_unsafe : (Net.transition * Bitset.t) list;
-}
-
-(* How a worker crew stopped early.  One cell shared by every worker:
-   the first budget trip or crash wins, the others drain out at the
-   next loop head instead of spinning on [in_flight] forever (a worker
-   that died would otherwise leave its claimed markings unfinished and
-   wedge the crew). *)
-type crew_stop =
-  | Crew_interrupted of Guard.stop_reason
-  | Crew_exn of exn * Printexc.raw_backtrace
-
-let explore_par_inner ~pool ~strategy ~max_states ~max_deadlocks ~traces ~cancel
-    ~guard (net : Net.t) =
-  let n_workers = Par.Pool.size pool in
-  Gpo_obs.Gauge.set_int g_workers n_workers;
-  let n_shards =
-    let rec pow2 n = if n >= 4 * n_workers || n >= 256 then n else pow2 (2 * n) in
-    pow2 16
-  in
-  let shard_hint = max 64 (table_size_hint net max_states / n_shards) in
-  let shards =
-    Array.init n_shards (fun _ ->
-        {
-          lock = Mutex.create ();
-          table = Marking_table.create shard_hint;
-          pred = (if traces then Some (Marking_table.create shard_hint) else None);
-        })
-  in
-  let shard_of m = shards.(Bitset.hash m land (n_shards - 1)) in
-  let queues = Array.init n_workers (fun _ -> Par.Wsq.create ()) in
-  let states = Atomic.make 0 in
-  let in_flight = Atomic.make 0 in
-  let truncated = Atomic.make false in
-  let stopper : crew_stop option Atomic.t = Atomic.make None in
-  let abort s = ignore (Atomic.compare_and_set stopper None (Some s)) in
-  let accs =
-    Array.init n_workers (fun _ ->
-        {
-          w_edges = 0;
-          w_dedup = 0;
-          w_deadlock_count = 0;
-          w_deadlocks = [];
-          w_unsafe_count = 0;
-          w_unsafe = [];
-        })
-  in
-  Gpo_obs.Counter.touch c_states;
-  Gpo_obs.Counter.touch c_edges;
-  Gpo_obs.Counter.touch c_dedup_hits;
-  (* Try to claim [m'] (reached from [m] by [t]) as fresh: insert into
-     its shard and charge the state budget.  Returns [true] iff the
-     caller should enqueue it. *)
-  let claim m' ~from:(t, m) =
-    let sh = shard_of m' in
-    Mutex.lock sh.lock;
-    if Marking_table.mem sh.table m' then begin
-      Mutex.unlock sh.lock;
-      false
-    end
-    else begin
-      let n = Atomic.fetch_and_add states 1 in
-      if n >= max_states then begin
-        (* Over budget: give the ticket back and truncate.  The count
-           never exceeds [max_states], matching the sequential
-           engine's contract. *)
-        Atomic.decr states;
-        Mutex.unlock sh.lock;
-        Atomic.set truncated true;
-        false
-      end
-      else begin
-        Marking_table.add sh.table m' ();
-        (match sh.pred with
-        | Some table -> Marking_table.add table m' (t, m)
-        | None -> ());
-        Mutex.unlock sh.lock;
-        Gpo_obs.Counter.incr c_states;
-        true
-      end
-    end
-  in
-  (* Seed: the initial marking is visited by definition, not claimed
-     through the budget (the sequential engine counts it the same way). *)
-  let seed () =
-    let sh = shard_of net.initial in
-    Marking_table.add sh.table net.initial ();
-    ignore (Atomic.fetch_and_add states 1);
-    Gpo_obs.Counter.incr c_states;
-    Atomic.incr in_flight;
-    Par.Wsq.push queues.(0) net.initial
-  in
-  seed ();
-  let process w m =
-    let acc = accs.(w) in
-    if w = 0 then
-      Gpo_obs.Progress.sample "reach" (fun () ->
-          [
-            ("states", Gpo_obs.I (Atomic.get states));
-            ("frontier", Gpo_obs.I (Atomic.get in_flight));
-            ("workers", Gpo_obs.I n_workers);
-          ]);
-    let to_fire = strategy net m in
-    if Semantics.is_deadlock net m then begin
-      acc.w_deadlock_count <- acc.w_deadlock_count + 1;
-      Gpo_obs.Counter.incr c_deadlocks;
-      if acc.w_deadlock_count <= max_deadlocks then
-        acc.w_deadlocks <- m :: acc.w_deadlocks
-    end;
-    List.iter
-      (fun t ->
-        let m', safe = Semantics.fire net t m in
-        acc.w_edges <- acc.w_edges + 1;
-        Gpo_obs.Counter.incr c_edges;
-        if not safe then begin
-          acc.w_unsafe_count <- acc.w_unsafe_count + 1;
-          if acc.w_unsafe_count <= max_deadlocks then
-            acc.w_unsafe <- (t, m) :: acc.w_unsafe
-        end;
-        if claim m' ~from:(t, m) then begin
-          Atomic.incr in_flight;
-          Par.Wsq.push queues.(w) m'
-        end
-        else begin
-          acc.w_dedup <- acc.w_dedup + 1;
-          Gpo_obs.Counter.incr c_dedup_hits
-        end)
-      to_fire
-  in
-  let worker w () =
-    (* [step] returns [false] only on clean termination (no work left
-       anywhere).  Any exception — a budget trip, a cancellation, a
-       crash inside [process] — is recorded in [stopper] so the other
-       workers drain out at their next loop head instead of spinning
-       on [in_flight] forever. *)
-    let step () =
-      Guard.check ?cancel ?guard ();
-      Guard.Fault.probe "reach.par.step";
-      match Par.Wsq.take_any queues w with
-      | Some m ->
-          process w m;
-          Atomic.decr in_flight;
-          true
-      | None ->
-          if Atomic.get in_flight > 0 then begin
-            Domain.cpu_relax ();
-            true
-          end
-          else false
-    in
-    let rec loop () =
-      if Atomic.get stopper = None then
-        match step () with
-        | true -> loop ()
-        | false -> ()
-        | exception Guard.Interrupted reason -> abort (Crew_interrupted reason)
-        | exception e -> abort (Crew_exn (e, Printexc.get_raw_backtrace ()))
-    in
-    (* The span puts one "reach.worker" duration event on each worker
-       domain's trace track, so a --trace-out timeline shows worker
-       lifetimes alongside the lock-wait spans. *)
-    Gpo_obs.Span.time "reach.worker" loop
-  in
-  Par.Pool.run pool (List.init n_workers worker);
-  (match Atomic.get stopper with
-  | Some (Crew_exn (e, bt)) -> Printexc.raise_with_backtrace e bt
-  | Some (Crew_interrupted _) | None -> ());
-  (* Merge the shards into the single tables of the sequential result
-     shape, so [trace_to] and the callers see one uniform view. *)
-  let total = Atomic.get states in
-  let visited = Marking_table.create (max 4096 total) in
-  Array.iter
-    (fun sh -> Marking_table.iter (fun m () -> Marking_table.replace visited m ()) sh.table)
-    shards;
-  let predecessor =
-    if not traces then None
-    else begin
-      let merged = Marking_table.create (max 4096 total) in
-      Array.iter
-        (fun sh ->
-          match sh.pred with
-          | Some table ->
-              Marking_table.iter (fun m v -> Marking_table.replace merged m v) table
-          | None -> ())
-        shards;
-      Some merged
-    end
-  in
-  report_load_factor visited;
-  let merge f = Array.fold_left (fun acc w -> acc + f w) 0 accs in
-  (* Retained deadlock/unsafe witnesses are sorted by content: worker
-     interleaving must not leak into the result. *)
-  let deadlocks =
-    Array.fold_left (fun l w -> List.rev_append w.w_deadlocks l) [] accs
-    |> List.sort Bitset.compare
-  in
-  let deadlocks =
-    List.filteri (fun i _ -> i < max_deadlocks) deadlocks
-  in
-  let unsafe =
-    Array.fold_left (fun l w -> List.rev_append w.w_unsafe l) [] accs
-    |> List.sort (fun (t1, m1) (t2, m2) ->
-           let c = Int.compare t1 t2 in
-           if c <> 0 then c else Bitset.compare m1 m2)
-  in
-  let unsafe = List.filteri (fun i _ -> i < max_deadlocks) unsafe in
-  let stop =
-    match Atomic.get stopper with
-    | Some (Crew_interrupted reason) -> reason
-    | Some (Crew_exn _) -> assert false
-    | None -> if Atomic.get truncated then Guard.State_budget else Guard.Completed
-  in
-  {
-    net;
-    states = Marking_table.length visited;
-    edges = merge (fun w -> w.w_edges);
-    deadlocks;
-    deadlock_count = merge (fun w -> w.w_deadlock_count);
-    unsafe;
-    stop;
-    predecessor;
-    visited;
-  }
-
-let explore_par ?pool ?jobs ?(strategy = full) ?(max_states = 10_000_000)
-    ?(max_deadlocks = 16) ?(traces = false) ?cancel ?guard (net : Net.t) =
-  match pool with
-  | Some pool when Par.Pool.size pool > 1 ->
-      explore_par_inner ~pool ~strategy ~max_states ~max_deadlocks ~traces ~cancel
-        ~guard net
-  | Some _ ->
-      explore_seq ~strategy ~max_states ~max_deadlocks ~traces ?cancel ?guard net
-  | None -> (
-      let jobs = match jobs with Some j -> j | None -> Par.Pool.default_jobs () in
-      if jobs <= 1 then
-        (* Sequential fallback: one worker needs no shards, no locks. *)
-        explore_seq ~strategy ~max_states ~max_deadlocks ~traces ?cancel ?guard net
-      else
-        Par.Pool.with_pool ~jobs (fun pool ->
-            explore_par_inner ~pool ~strategy ~max_states ~max_deadlocks ~traces
-              ~cancel ~guard net))
-
-let explore ?strategy ?max_states ?max_deadlocks ?traces ?cancel ?guard net =
-  explore_seq ?strategy ?max_states ?max_deadlocks ?traces ?cancel ?guard net
 
 let trace_to ?cancel result m =
   match result.predecessor with

@@ -62,31 +62,6 @@ val explore :
     tripped deadline or memory budget ends the run early with the
     partial counts and [stop] carrying the reason. *)
 
-val explore_par :
-  ?pool:Par.Pool.t ->
-  ?jobs:int ->
-  ?strategy:strategy ->
-  ?max_states:int ->
-  ?max_deadlocks:int ->
-  ?traces:bool ->
-  ?cancel:Par.Cancel.t ->
-  ?guard:Guard.t ->
-  Net.t ->
-  result
-(** Domain-parallel {!explore}: the visited set is sharded by marking
-    digest (each shard with its own lock and, with [traces], its own
-    predecessor map), workers expand markings from per-worker queues
-    and steal when dry.  Runs on [pool] when given, else on a fresh
-    pool of [jobs] workers (default [Domain.recommended_domain_count]).
-    With one worker this {e is} {!explore} — the sequential engine is
-    the fallback, and the differential test suite holds the two to the
-    same states/edges/deadlock counts and verdicts on every net.  The
-    retained [deadlocks]/[unsafe] witness lists are sorted by content
-    so worker interleaving cannot leak into the result; the
-    predecessor map records each marking's first-reach parent, which
-    may differ from the sequential one, but any reconstructed witness
-    still certifies. *)
-
 val trace_to : ?cancel:Par.Cancel.t -> result -> Bitset.t -> Net.transition list
 (** [trace_to result m] reconstructs a firing sequence from the initial
     marking to [m].  Requires [explore ~traces:true]; raises

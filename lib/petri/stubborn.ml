@@ -89,15 +89,3 @@ let explore ?heuristic ?max_states ?max_deadlocks ?traces ?cancel ?guard net =
   let conflict = Conflict.analyse net in
   Reachability.explore ~strategy:(strategy ?heuristic conflict) ?max_states
     ?max_deadlocks ?traces ?cancel ?guard net
-
-(* The stubborn strategy is a pure function of the marking (the
-   conflict relation is immutable after [Conflict.analyse], and
-   [compute] only reads it), so it can be evaluated from any domain and
-   the parallel explorer visits exactly the sequential reduced state
-   space. *)
-let explore_par ?pool ?jobs ?heuristic ?max_states ?max_deadlocks ?traces
-    ?cancel ?guard net =
-  let conflict = Conflict.analyse net in
-  Reachability.explore_par ?pool ?jobs
-    ~strategy:(strategy ?heuristic conflict)
-    ?max_states ?max_deadlocks ?traces ?cancel ?guard net

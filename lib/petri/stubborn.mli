@@ -40,19 +40,3 @@ val explore :
   Net.t ->
   Reachability.result
 (** Convenience wrapper: {!Reachability.explore} with {!strategy}. *)
-
-val explore_par :
-  ?pool:Par.Pool.t ->
-  ?jobs:int ->
-  ?heuristic:heuristic ->
-  ?max_states:int ->
-  ?max_deadlocks:int ->
-  ?traces:bool ->
-  ?cancel:Par.Cancel.t ->
-  ?guard:Guard.t ->
-  Net.t ->
-  Reachability.result
-(** {!Reachability.explore_par} with {!strategy}.  The stubborn set
-    computation is a pure function of the marking, so the parallel
-    exploration visits exactly the reduced state space of the
-    sequential one. *)

@@ -34,7 +34,7 @@ type job = {
   max_states : int;
   witness : bool;
   reduce : bool;
-  jobs : int;  (** Worker domains {e inside} this job's engine run. *)
+  jobs : int;  (** GPO wave workers {e inside} this job's engine run. *)
   timeout_s : float option;  (** Per-job wall-clock budget. *)
   mem_mb : int option;  (** Per-job soft heap budget. *)
 }

@@ -130,13 +130,13 @@ expect 0 "certify --place on a holding property" -- \
 
 # --- multicore: --jobs and the racing portfolio -----------------------
 
-# Parallel exploration must reproduce the sequential verdicts exactly.
+# GPO wave workers must reproduce the sequential verdicts exactly.
 expect 1 "parallel analyze finds the NSDP deadlock" -- \
-  analyze -m nsdp -n 4 -e full -j 4
+  analyze -m nsdp -n 4 -e gpo -j 4
 expect 0 "parallel analyze clears the overtake protocol" -- \
-  analyze -m over -n 3 -e full -j 4
+  analyze -m over -n 3 -e gpo -j 4
 expect 2 "parallel truncated clean run is still inconclusive" -- \
-  analyze -m asat -n 4 -e full -j 4 --max-states 50
+  analyze -m asat -n 4 -e gpo -j 4 --max-states 5
 expect_out "inconclusive" "parallel truncation is called out"
 
 # The portfolio returns the first conclusive verdict with its witness.

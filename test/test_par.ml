@@ -1,20 +1,16 @@
-(* Multicore execution: the par primitives, the domain-parallel
-   explorer against its sequential twin, and the racing portfolio.
+(* Multicore execution: the par primitives, the engine layer's
+   worker-count invariance, the wave-parallel GPN explorer against its
+   sequential run, and the racing portfolio.
 
-   The load-bearing property is the differential one: for every net,
-   [Reachability.explore_par] must report exactly the same states,
-   edges, deadlock count, unsafe count, truncation flag and verdict as
-   [Reachability.explore] — the visited set is determined by the
-   (deterministic) strategy alone, so worker interleaving must not leak
-   into any count.  Witnesses are allowed to differ (the parallel
-   predecessor map records first-reach parents), but must certify. *)
+   The load-bearing property is that the worker count never changes an
+   answer: [Result_cache.key] leaves [jobs] out on that promise. *)
 
 module R = Petri.Reachability
 module E = Harness.Engine
 
 (* Run the parallel suites with a few workers even on small hosts: the
    scheduler interleaves domains on one core, which still exercises the
-   sharded tables and the steal path. *)
+   wave fan-out and the striped interning tables. *)
 let par_jobs = 4
 
 (* [Counter.make] interns by name, so these are the very cells the par
@@ -52,18 +48,6 @@ let pool_rethrows_after_finishing () =
         "pool is reusable" [ 2; 4 ]
         (Par.Pool.map pool (fun x -> 2 * x) [ 1; 2 ]))
 
-let wsq_owner_and_thief_order () =
-  let q : int Par.Wsq.t = Par.Wsq.create () in
-  List.iter (Par.Wsq.push q) [ 1; 2; 3; 4 ];
-  Alcotest.(check (option int)) "owner pops newest" (Some 4) (Par.Wsq.pop q);
-  Alcotest.(check (option int)) "thief steals oldest" (Some 1) (Par.Wsq.steal q);
-  (* The steal normalized the remaining elements into FIFO order; the
-     owner drains them oldest-first from here. *)
-  Alcotest.(check (option int)) "owner after steal" (Some 2) (Par.Wsq.pop q);
-  Alcotest.(check (option int)) "last element" (Some 3) (Par.Wsq.pop q);
-  Alcotest.(check (option int)) "empty pop" None (Par.Wsq.pop q);
-  Alcotest.(check (option int)) "empty steal" None (Par.Wsq.steal q)
-
 let cancellation_handshake () =
   let token = Par.Cancel.create () in
   Alcotest.(check bool) "fresh token unset" false (Par.Cancel.is_set token);
@@ -96,110 +80,11 @@ let engine_runs_are_cancellable () =
     E.all
 
 (* ------------------------------------------------------------------ *)
-(* Differential: sequential vs parallel exploration                    *)
+(* Worker-count invariance                                             *)
 
-let same_exploration ~label ?strategy net =
-  (* [max_deadlocks] high enough to retain every deadlock: with the
-     default cap the two explorers may retain different (but equally
-     valid) subsets, since the sequential one keeps the first hits in
-     BFS order and the parallel one the content-sorted prefix. *)
-  let seq = R.explore ?strategy ~max_deadlocks:100_000 ~traces:true net in
-  let par =
-    R.explore_par ~jobs:par_jobs ?strategy ~max_deadlocks:100_000 ~traces:true
-      net
-  in
-  let check_int what a b =
-    if a <> b then
-      Failure_dump.failf ~label net "parallel %s %d <> sequential %d" what b a
-  in
-  check_int "states" seq.states par.states;
-  check_int "edges" seq.edges par.edges;
-  check_int "deadlock_count" seq.deadlock_count par.deadlock_count;
-  check_int "unsafe count" (List.length seq.unsafe) (List.length par.unsafe);
-  if R.truncated seq <> R.truncated par then
-    Failure_dump.failf ~label net "truncation flags differ";
-  (* Same visited set, not just the same size. *)
-  R.Marking_table.iter
-    (fun m () ->
-      if not (R.Marking_table.mem par.visited m) then
-        Failure_dump.failf ~label net
-          "marking visited sequentially but not in parallel")
-    seq.visited;
-  (* Retained deadlock witnesses are content-sorted, hence comparable
-     as lists once the sequential side is sorted the same way. *)
-  let sorted l = List.sort Petri.Bitset.compare l in
-  if
-    not
-      (List.equal Petri.Bitset.equal (sorted seq.deadlocks)
-         (sorted par.deadlocks))
-  then Failure_dump.failf ~label net "retained deadlock witnesses differ";
-  (* Parallel predecessor chains may differ from sequential ones, but
-     every reconstructed witness must replay to its dead marking. *)
-  List.iter
-    (fun dead ->
-      let trace = R.trace_to par dead in
-      if not (Petri.Trace.is_valid net trace) then
-        Failure_dump.failf ~trace ~label net
-          "parallel witness does not replay";
-      if
-        not
-          (Petri.Bitset.equal dead (Petri.Trace.final_marking net trace))
-      then
-        Failure_dump.failf ~trace ~label net
-          "parallel witness reaches the wrong marking")
-    par.deadlocks
-
-let differential_zoo () =
-  List.iter
-    (fun (net : Petri.Net.t) ->
-      same_exploration ~label:(net.name ^ "-par-full") net;
-      same_exploration ~label:(net.name ^ "-par-stubborn")
-        ~strategy:(Petri.Stubborn.strategy (Petri.Conflict.analyse net))
-        net)
-    [
-      Models.Figures.fig1;
-      Models.Figures.fig2 4;
-      Models.Figures.fig2 6;
-      Models.Figures.fig3;
-      Models.Figures.fig5;
-      Models.Figures.fig7;
-      Models.Nsdp.make 2;
-      Models.Nsdp.make 4;
-      Models.Asat.make 2;
-      Models.Over.make 3;
-      Models.Rw.make 4;
-      Models.Scheduler.make 3;
-      Models.Scheduler.make 5;
-    ]
-
-let differential_random () =
-  Failure_dump.iter_seeds ~n:(min 60 (Failure_dump.seed_count ())) (fun seed ->
-      let net = Models.Random_net.generate seed in
-      same_exploration ~label:(Printf.sprintf "par-seed-%d" seed) net)
-
-(* Truncation: both explorers must flag it, and the parallel state
-   count must respect the budget exactly (the ticketing rollback). *)
-let differential_truncation () =
-  let net = Models.Scheduler.make 7 in
-  let seq = R.explore ~max_states:100 net in
-  let par = R.explore_par ~jobs:par_jobs ~max_states:100 net in
-  Alcotest.(check bool) "sequential truncated" true (R.truncated seq);
-  Alcotest.(check bool) "parallel truncated" true (R.truncated par);
-  Alcotest.(check bool) "same stop reason" true (seq.stop = par.stop);
-  Alcotest.(check bool)
-    "parallel respects the state budget" true (par.states <= 100)
-
-(* The stubborn convenience wrapper agrees with its sequential twin. *)
-let stubborn_wrapper_differential () =
-  let net = Models.Nsdp.make 4 in
-  let seq = Petri.Stubborn.explore net in
-  let par = Petri.Stubborn.explore_par ~jobs:par_jobs net in
-  Alcotest.(check int) "states" seq.states par.states;
-  Alcotest.(check int) "edges" seq.edges par.edges;
-  Alcotest.(check int) "deadlocks" seq.deadlock_count par.deadlock_count
-
-(* The engine layer routes jobs>1 through the parallel explorer with
-   identical outcomes. *)
+(* [~jobs] sets the GPO wave workers; the explicit engines run on one
+   domain.  Either way the outcome is the [jobs = 1] one: the same
+   metric, verdict, stop reason and the identical witness. *)
 let engine_layer_jobs () =
   List.iter
     (fun (net : Petri.Net.t) ->
@@ -207,21 +92,28 @@ let engine_layer_jobs () =
         (fun kind ->
           let s = E.run ~witness:true kind net in
           let p = E.run ~witness:true ~jobs:par_jobs kind net in
-          Alcotest.(check (float 0.0))
-            (Printf.sprintf "%s/%s states" net.name (E.name kind))
-            s.states p.states;
-          Alcotest.(check bool)
-            (Printf.sprintf "%s/%s verdict" net.name (E.name kind))
-            s.deadlock p.deadlock;
+          let what field =
+            Printf.sprintf "%s/%s %s" net.name (E.name kind) field
+          in
+          Alcotest.(check (float 0.0)) (what "states") s.states p.states;
+          Alcotest.(check (float 0.0)) (what "metric") s.metric p.metric;
+          Alcotest.(check bool) (what "verdict") s.deadlock p.deadlock;
+          Alcotest.(check bool) (what "stop") true (s.stop = p.stop);
+          Alcotest.(check (option (list int)))
+            (what "witness") s.witness p.witness;
           if p.deadlock then
             match Harness.Certify.deadlock net p with
             | Harness.Certify.Certified _ -> ()
             | v ->
-                Alcotest.failf "parallel %s witness not certified: %a"
-                  (E.name kind)
+                Alcotest.failf "%s witness not certified: %a" (what "jobs")
                   (Harness.Certify.pp net) v)
-        [ E.Full; E.Stubborn ])
-    [ Models.Nsdp.make 3; Models.Over.make 3; Models.Scheduler.make 4 ]
+        [ E.Full; E.Stubborn; E.Gpo ])
+    [
+      Models.Nsdp.make 3;
+      Models.Nsdp.make 4;
+      Models.Over.make 3;
+      Models.Scheduler.make 4;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Differential: sequential vs parallel GPN exploration.  The wave
@@ -454,17 +346,9 @@ let suite =
     Alcotest.test_case "pool map preserves order" `Quick pool_map_preserves_order;
     Alcotest.test_case "pool rethrows after finishing" `Quick
       pool_rethrows_after_finishing;
-    Alcotest.test_case "work-stealing queue order" `Quick
-      wsq_owner_and_thief_order;
     Alcotest.test_case "cancellation handshake" `Quick cancellation_handshake;
     Alcotest.test_case "engine runs are cancellable" `Quick
       engine_runs_are_cancellable;
-    Alcotest.test_case "seq-vs-par differential (zoo)" `Quick differential_zoo;
-    Alcotest.test_case "seq-vs-par differential (random)" `Slow
-      differential_random;
-    Alcotest.test_case "seq-vs-par truncation" `Quick differential_truncation;
-    Alcotest.test_case "stubborn wrapper differential" `Quick
-      stubborn_wrapper_differential;
     Alcotest.test_case "engine layer with jobs" `Quick engine_layer_jobs;
     Alcotest.test_case "gpo seq-vs-par differential (zoo)" `Quick
       gpo_differential_zoo;

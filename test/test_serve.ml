@@ -554,7 +554,7 @@ let test_submit_fold_untrusted () =
 (* ------------------------------------------------------------------ *)
 (* The daemon over a real socket                                       *)
 
-let with_server name f =
+let with_server ?(queue_limit = 8) name f =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "julie-test-%s-%d.sock" name (Unix.getpid ()))
@@ -562,7 +562,7 @@ let with_server name f =
   let endpoint = Serve.Server.Unix_path path in
   let server =
     Domain.spawn (fun () ->
-        Serve.Server.serve ~jobs:1 ~queue_limit:8 endpoint)
+        Serve.Server.serve ~jobs:1 ~queue_limit endpoint)
   in
   Fun.protect
     ~finally:(fun () ->
@@ -609,11 +609,13 @@ let test_server_over_socket () =
   | Ok _ -> Alcotest.fail "expected stats reply"
   | Error f -> Alcotest.failf "stats: %s" (Serve.Client.describe_failure f)
 
-(* Sizes the model constructors reject, an unknown place and an unknown
-   engine fail their own job; the good question in the same batch is
-   answered and the daemon keeps serving. *)
+(* Sizes the model constructors reject, an unknown place, an unknown
+   engine and a worker count past OCaml's cap on live domains fail their
+   own job; the good question in the same batch is answered and the
+   daemon keeps serving — later questions that spawn domains included. *)
 let test_bad_jobs_keep_daemon_alive () =
-  with_server "bad" @@ fun endpoint ->
+  (* Nine jobs in one batch: past the default admission bound. *)
+  with_server ~queue_limit:16 "bad" @@ fun endpoint ->
   let model id size = P.Model { id; size } in
   let bad =
     [
@@ -624,6 +626,7 @@ let test_bad_jobs_keep_daemon_alive () =
       P.job (model "fig2" 0);
       P.job ~cover:[ "nosuch" ] (model "nsdp" 3);
       P.job ~engine:"bogus" (model "nsdp" 3);
+      P.job ~jobs:300 (model "over" 3);
     ]
   in
   let good = P.job (model "nsdp" 3) in
@@ -639,6 +642,25 @@ let test_bad_jobs_keep_daemon_alive () =
               Alcotest.(check (option bool)) "good job certified" (Some true)
                 r.certified
           | _ -> Alcotest.failf "job %s: wrong status" r.id)
+        rs
+  | Ok _ -> Alcotest.fail "expected results"
+  | Error f -> Alcotest.failf "submit: %s" (Serve.Client.describe_failure f));
+  (* The failed spawn left no worker behind: a race and a two-worker GPO
+     run still get their domains. *)
+  (match
+     Serve.Client.submit endpoint
+       [
+         P.job ~engine:"portfolio" (model "nsdp" 3);
+         P.job ~jobs:2 (model "over" 3);
+       ]
+   with
+  | Ok (P.Results rs) ->
+      Alcotest.(check int) "both jobs answered" 2 (List.length rs);
+      List.iter
+        (fun (r : P.job_result) ->
+          match r.status with
+          | P.Ok -> ()
+          | P.Failed msg -> Alcotest.failf "job %s failed: %s" r.id msg)
         rs
   | Ok _ -> Alcotest.fail "expected results"
   | Error f -> Alcotest.failf "submit: %s" (Serve.Client.describe_failure f));

@@ -6,7 +6,6 @@
      dune exec bench/main.exe fig1       # Figure 1 series
      dune exec bench/main.exe fig2       # Figure 2 series
      dune exec bench/main.exe gpo        # GPO time against problem size
-     dune exec bench/main.exe ablation   # design-choice ablations
      dune exec bench/main.exe scaling    # GPO wave speedup + portfolio
      dune exec bench/main.exe guard      # resource-guard polling overhead
      dune exec bench/main.exe reduce     # structural reduction ratio/speedup
@@ -59,16 +58,16 @@ let fig2 () =
   write_report "fig2" (Harness.Report.json_of_fig2 series)
 
 (* ------------------------------------------------------------------ *)
-(* Ablations of the design choices called out in DESIGN.md             *)
+(* Helpers of the timed jobs                                           *)
 
 let time f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* CI runs the ablation with BENCH_SMOKE=1: small instances, few
-   repetitions — a smoke test that the job runs and the report schema
-   holds, not a measurement. *)
+(* BENCH_SMOKE=1 shrinks the instances and repetitions of the jobs
+   below — a smoke test that a job runs and its report schema holds,
+   not a measurement. *)
 let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None
 
 (* ------------------------------------------------------------------ *)
@@ -120,131 +119,6 @@ let gpo_scaling () =
   write_report "gpo"
     (J.Obj
        [ ("table", J.String "gpo"); ("smoke", J.Bool smoke); ("rows", J.List rows) ])
-
-(* ------------------------------------------------------------------ *)
-
-let ablation () =
-  let module J = Gpo_obs.Json in
-  section "Ablation — GPO explorer variants";
-  Format.printf "%-10s %-26s %8s %6s %9s@." "net" "variant" "states" "runs" "time";
-  let gpo_rows = ref [] in
-  let smv_rows = ref [] in
-  let stubborn_rows = ref [] in
-  let nets =
-    if smoke then
-      [
-        ("nsdp-6", Models.Nsdp.make 6);
-        ("asat-4", Models.Asat.make 4);
-        ("fig2-6", Models.Figures.fig2 6);
-      ]
-    else
-      [
-        ("nsdp-8", Models.Nsdp.make 8);
-        ("nsdp-12", Models.Nsdp.make 12);
-        ("asat-8", Models.Asat.make 8);
-        ("over-5", Models.Over.make 5);
-        ("rw-15", Models.Rw.make 15);
-        ("fig2-10", Models.Figures.fig2 10);
-      ]
-  in
-  let variants =
-    [
-      ("batched+scan (default)", fun net -> Gpn.Explorer.analyse net);
-      ("batched, no scan (paper)", fun net -> Gpn.Explorer.analyse ~scan:false net);
-      ( "batched, aggressive",
-        fun net -> Gpn.Explorer.analyse ~thorough:false net );
-      ( "stepwise, no scan (paper)",
-        fun net ->
-          Gpn.Explorer.analyse ~reduction:Gpn.Explorer.Stepwise ~scan:false net );
-    ]
-  in
-  List.iter
-    (fun (name, net) ->
-      List.iter
-        (fun (vname, run) ->
-          (* The per-cluster serialization is quadratic in the number of
-             clusters; keep it off the largest instance. *)
-          if not (String.equal name "nsdp-12" && String.equal vname "stepwise, no scan (paper)")
-          then begin
-            let r, t = time (fun () -> run net) in
-            Format.printf "%-10s %-26s %8d %6d %8.3fs@." name vname
-              r.Gpn.Explorer.states
-              (List.length r.Gpn.Explorer.runs)
-              t;
-            gpo_rows :=
-              J.Obj
-                [
-                  ("net", J.String name);
-                  ("variant", J.String vname);
-                  ("states", J.Int r.Gpn.Explorer.states);
-                  ("runs", J.Int (List.length r.Gpn.Explorer.runs));
-                  ("time_s", J.Float t);
-                ]
-              :: !gpo_rows
-          end)
-        variants;
-      Format.printf "@.")
-    nets;
-  Format.printf
-    "(stepwise with the deviation scan is exercised by the test suite on@.    \ small instances only: the per-cluster serialization multiplies the@.    \ number of deviation restarts.)@.";
-  section "Ablation — symbolic engine: partitioned vs monolithic relation";
-  Format.printf "%-10s %-14s %10s %12s %9s@." "net" "relation" "states" "peak-nodes"
-    "time";
-  List.iter
-    (fun (name, net) ->
-      List.iter
-        (fun (vname, partitioned) ->
-          let r, t = time (fun () -> Bddkit.Symbolic.analyse ~partitioned net) in
-          Format.printf "%-10s %-14s %10.0f %12d %8.3fs@." name vname
-            r.Bddkit.Symbolic.states r.Bddkit.Symbolic.peak_live_nodes t;
-          smv_rows :=
-            J.Obj
-              [
-                ("net", J.String name);
-                ("relation", J.String vname);
-                ("states", J.Float r.Bddkit.Symbolic.states);
-                ("peak_nodes", J.Int r.Bddkit.Symbolic.peak_live_nodes);
-                ("time_s", J.Float t);
-              ]
-            :: !smv_rows)
-        [ ("partitioned", true); ("monolithic", false) ])
-    [
-      ("nsdp-6", Models.Nsdp.make 6);
-      ("over-4", Models.Over.make 4);
-      ("rw-9", Models.Rw.make 9);
-    ];
-  section "Ablation — stubborn-set seed heuristic";
-  Format.printf "%-10s %-12s %8s %9s@." "net" "heuristic" "states" "time";
-  List.iter
-    (fun (name, net) ->
-      List.iter
-        (fun (hname, heuristic) ->
-          let r, t = time (fun () -> Petri.Stubborn.explore ~heuristic net) in
-          Format.printf "%-10s %-12s %8d %8.3fs@." name hname
-            r.Petri.Reachability.states t;
-          stubborn_rows :=
-            J.Obj
-              [
-                ("net", J.String name);
-                ("heuristic", J.String hname);
-                ("states", J.Int r.Petri.Reachability.states);
-                ("time_s", J.Float t);
-              ]
-            :: !stubborn_rows)
-        [ ("first-seed", Petri.Stubborn.First_seed); ("smallest", Petri.Stubborn.Smallest) ])
-    [
-      ("nsdp-6", Models.Nsdp.make 6);
-      ("asat-4", Models.Asat.make 4);
-      ("over-4", Models.Over.make 4);
-    ];
-  write_report "ablation"
-    (J.Obj
-       [
-         ("table", J.String "ablation");
-         ("gpo_variants", J.List (List.rev !gpo_rows));
-         ("symbolic_relation", J.List (List.rev !smv_rows));
-         ("stubborn_heuristic", J.List (List.rev !stubborn_rows));
-       ])
 
 (* ------------------------------------------------------------------ *)
 (* Scaling: the wave-parallel GPN explorer at 1/2/4 domains on
@@ -924,8 +798,8 @@ let () =
     | _ :: (_ :: _ as args) -> args
     | _ ->
         [
-          "table1"; "fig1"; "fig2"; "gpo"; "ablation"; "scaling"; "guard";
-          "reduce"; "serve"; "persist"; "micro";
+          "table1"; "fig1"; "fig2"; "gpo"; "scaling"; "guard"; "reduce";
+          "serve"; "persist"; "micro";
         ]
   in
   List.iter
@@ -934,7 +808,6 @@ let () =
       | "fig1" -> fig1 ()
       | "fig2" -> fig2 ()
       | "gpo" -> gpo_scaling ()
-      | "ablation" -> ablation ()
       | "scaling" -> scaling ()
       | "guard" -> guard_overhead ()
       | "reduce" -> reduce_bench ()
@@ -943,8 +816,8 @@ let () =
       | "micro" -> micro ()
       | other ->
           Format.eprintf
-            "unknown job %S (expected table1, fig1, fig2, gpo, ablation, \
-             scaling, guard, reduce, serve, persist, micro)@."
+            "unknown job %S (expected table1, fig1, fig2, gpo, scaling, \
+             guard, reduce, serve, persist, micro)@."
             other;
           exit 2)
     jobs

@@ -217,9 +217,9 @@ let reduce_term =
        & info [ "reduce" ]
            ~doc:"Apply the structural reduction pipeline (agglomeration, \
                  redundant-place removal, dead-transition elimination) to \
-                 the net before each engine runs.  Only verdict-preserving \
-                 rules fire, and witnesses are lifted back so they replay \
-                 — and certify — against the original net.")
+                 the net before each engine runs.  Every rule preserves the \
+                 verdict, and witnesses are lifted back so they replay — \
+                 and certify — against the original net.")
 
 (* The human-readable reduction summary, printed once per command before
    the engine runs.  This informational pipeline run happens before any

@@ -169,7 +169,6 @@ let xor_ m a b =
   | One, x | x, One -> not_ m x
   | _ -> apply m tag_xor xor_leaf a b
 
-let imp m a b = or_ m (not_ m a) b
 let iff m a b = not_ m (xor_ m a b)
 
 let ite m i t e =

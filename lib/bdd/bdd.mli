@@ -39,8 +39,6 @@ val not_ : manager -> t -> t
 val and_ : manager -> t -> t -> t
 val or_ : manager -> t -> t -> t
 val xor_ : manager -> t -> t -> t
-val imp : manager -> t -> t -> t
-(** [imp m a b] is [¬a ∨ b]. *)
 
 val iff : manager -> t -> t -> t
 (** [iff m a b] is [¬(a xor b)]. *)

@@ -150,19 +150,11 @@ let reconstruct ?cancel enc layers target =
   in
   walk depth target []
 
-let analyse ?(partitioned = true) ?(witness = false) ?cancel ?guard
-    (net : Petri.Net.t) =
+let analyse ?(witness = false) ?cancel ?guard (net : Petri.Net.t) =
   let t0 = Unix.gettimeofday () in
   Gpo_obs.Counter.touch c_iterations;
   let enc = Gpo_obs.Span.time "smv.encode" (fun () -> Internal.encode net) in
   let m = enc.manager in
-  let image =
-    if partitioned then fun set -> Internal.image enc set
-    else begin
-      let monolithic = Bdd.disj m (Array.to_list enc.relations) in
-      fun set -> Internal.image_one enc monolithic set
-    end
-  in
   let peak_set = ref (Bdd.size enc.initial) in
   (* BFS layers for witness reconstruction, newest first; only retained
      when a witness was requested (each layer pins its BDD live). *)
@@ -181,7 +173,7 @@ let analyse ?(partitioned = true) ?(witness = false) ?cancel ?guard
        Guard.check_now ?cancel ?guard ();
        Guard.Fault.probe "smv.iter";
        let successors =
-         Gpo_obs.Span.time "smv.image" (fun () -> image !frontier)
+         Gpo_obs.Span.time "smv.image" (fun () -> Internal.image enc !frontier)
        in
        let fresh = Bdd.and_ m successors (Bdd.not_ m !reached) in
        if witness && not (Bdd.is_zero fresh) then layers := fresh :: !layers;
@@ -238,5 +230,3 @@ let analyse ?(partitioned = true) ?(witness = false) ?cancel ?guard
     stop = !interrupt;
     time_s = Unix.gettimeofday () -. t0;
   }
-
-let reachable_count net = (analyse net).states

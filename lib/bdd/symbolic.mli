@@ -37,12 +37,11 @@ val truncated : result -> bool
 (** [stop <> Completed]. *)
 
 val analyse :
-  ?partitioned:bool -> ?witness:bool -> ?cancel:Par.Cancel.t ->
-  ?guard:Guard.t -> Petri.Net.t -> result
-(** Run the symbolic reachability analysis.  [partitioned] (default
-    [true]) keeps one relation per transition and accumulates the
-    per-transition images; [false] builds the monolithic disjunction
-    first (the ablation bench compares both).  [witness] (default
+  ?witness:bool -> ?cancel:Par.Cancel.t -> ?guard:Guard.t -> Petri.Net.t ->
+  result
+(** Run the symbolic reachability analysis: one relation per
+    transition, with the per-transition images accumulated at every
+    fixpoint step.  [witness] (default
     [false]) retains the frontier layers during the fixpoint and, if a
     deadlock exists, reconstructs a concrete firing sequence to it
     (reported in the [witness] field; costs one live BDD per layer).
@@ -51,9 +50,6 @@ val analyse :
     ends the fixpoint early with the partial reachable set and [stop]
     carrying the reason.  Each analysis owns a fresh BDD manager, so
     the engine is domain-safe and needs no further synchronisation. *)
-
-val reachable_count : Petri.Net.t -> float
-(** Convenience: just the number of reachable markings. *)
 
 module Internal : sig
   (** Exposed for white-box tests. *)

@@ -20,19 +20,12 @@ open struct
 end
 
 module Marking_table = Petri.Reachability.Marking_table
-module Net' = Petri.Net
 
 (* Worlds are interned bit sets, so this table's probes are digest
    reads + (near-)pointer comparisons. *)
 module World_tbl = Hashtbl.Make (Petri.Bitset)
 
-type label = {
-  multiples : Bitset.t;
-  singles : Petri.Net.transition list;
-  singles_set : Bitset.t;  (* same content as [singles], O(1) mem *)
-}
-
-type reduction = Batched | Stepwise
+type label = { multiples : Bitset.t; singles : Petri.Net.transition list }
 
 type run = {
   root : Bitset.t;
@@ -111,7 +104,7 @@ let partner_presets ctx =
    multiple-enabled and fire in a later step; the fixpoint can only
    shrink, and a singleton batch can never skip a marking, so firing
    the lowest multiple alone is always a safe last resort. *)
-let defer_unsafe_multiples ctx partner_pre en ~thorough multiples singles =
+let defer_unsafe_multiples ctx partner_pre en multiples singles =
   let net = Dynamics.net ctx in
   let conflict = Dynamics.conflict ctx in
   let batch_post tbatch =
@@ -135,14 +128,13 @@ let defer_unsafe_multiples ctx partner_pre en ~thorough multiples singles =
     in
     if Bitset.equal keep multiples then multiples else fixpoint keep
   in
-  (* Thorough mode: a world firing two transitions of the same
-     cluster in one step skips the serialization in which the first
-     firing re-enables a competitor of the second through a chain of
-     other transitions, and the deviation scan cannot see it.  Keep
-     at most one member per (cluster, overlapping worlds) group,
-     firing first the transitions whose outputs feed some choice
-     preset (they "open" re-entries whose conflicts must become
-     visible). *)
+  (* A world firing two transitions of the same cluster in one step
+     skips the serialization in which the first firing re-enables a
+     competitor of the second through a chain of other transitions,
+     and the deviation scan cannot see it.  Keep at most one member
+     per (cluster, overlapping worlds) group, firing first the
+     transitions whose outputs feed some choice preset (they "open"
+     re-entries whose conflicts must become visible). *)
   let serialize_same_cluster multiples =
     let choice_presets =
       Bitset.fold
@@ -173,11 +165,7 @@ let defer_unsafe_multiples ctx partner_pre en ~thorough multiples singles =
       (Bitset.empty (Bitset.width multiples))
       by_priority
   in
-  let kept = fixpoint multiples in
-  let kept =
-    if thorough && not (Bitset.is_empty kept) then serialize_same_cluster kept
-    else kept
-  in
+  let kept = serialize_same_cluster (fixpoint multiples) in
   if Bitset.is_empty kept && not (Bitset.is_empty multiples) && singles = []
   then
     (* Precedence cycle with nothing else to fire: serialize by
@@ -190,80 +178,31 @@ let defer_unsafe_multiples ctx partner_pre en ~thorough multiples singles =
    transitions with the multiple rule, plus all single-enabled
    conflict-free transitions with the single rule, in one combined
    step (candidate MCSs first, matching the order of the paper's
-   algorithm). *)
-let successor_labels reduction ctx partner_pre ~thorough ~step en =
+   algorithm).  [None] when nothing is enabled; otherwise the label
+   and the multiples a forced serialization skipped. *)
+let successor_label ctx partner_pre en =
   let net = Dynamics.net ctx in
   let choice = Dynamics.choice_transitions ctx in
   let n = net.Petri.Net.n_transitions in
   let multiples = ref (Bitset.empty n) in
   let singles = ref [] in
-  let singles_set = ref (Bitset.empty n) in
   for t = n - 1 downto 0 do
     if Bitset.mem t choice then begin
       if not (W.is_empty en.m_enab.(t)) then multiples := Bitset.add t !multiples
     end
-    else if not (W.is_empty en.s_enab.(t)) then begin
-      singles := t :: !singles;
-      singles_set := Bitset.add t !singles_set
-    end
+    else if not (W.is_empty en.s_enab.(t)) then singles := t :: !singles
   done;
-  match reduction with
-  | Batched ->
-      if Bitset.is_empty !multiples && !singles = [] then ([], Bitset.empty n)
-      else begin
-        let fired, forced =
-          defer_unsafe_multiples ctx partner_pre en ~thorough !multiples !singles
-        in
-        let skipped =
-          if forced then Bitset.diff !multiples fired else Bitset.empty n
-        in
-        ( [ { multiples = fired; singles = !singles; singles_set = !singles_set } ],
-          skipped )
-      end
-  | Stepwise ->
-      (* One conflict cluster per step (singles stay batched: they
-         are the uncontroversial part).  The cluster is picked by
-         rotation on the step counter, not lowest-first: a cyclic
-         component must not starve the others ("not postponed
-         forever"). *)
-      if Bitset.is_empty !multiples && !singles = [] then ([], Bitset.empty n)
-      else if Bitset.is_empty !multiples then
-        ( [
-            {
-              multiples = Bitset.empty n;
-              singles = !singles;
-              singles_set = !singles_set;
-            };
-          ],
-          Bitset.empty n )
-      else begin
-        let conflict = Dynamics.conflict ctx in
-        (* Clusters represented by the fired multiples, as a bit set
-           over cluster indices: deduplication and ascending order
-           in one pass (the former [List.mem] scan was quadratic). *)
-        let n_clusters = Array.length (Petri.Conflict.clusters conflict) in
-        let cluster_ids =
-          Bitset.elements
-            (Bitset.fold
-               (fun t acc ->
-                 Bitset.add (Petri.Conflict.cluster_of conflict t) acc)
-               !multiples (Bitset.empty n_clusters))
-        in
-        let picked = List.nth cluster_ids (step mod List.length cluster_ids) in
-        let fired =
-          Bitset.inter !multiples (Petri.Conflict.cluster_members conflict picked)
-        in
-        (* Rotation guarantees the other clusters fire in later
-           steps; the cycle-closure safety net covers the rest, so
-           they are not reported as skipped. *)
-        ( [ { multiples = fired; singles = !singles; singles_set = !singles_set } ],
-          Bitset.empty n )
-      end
+  if Bitset.is_empty !multiples && !singles = [] then None
+  else begin
+    let fired, forced =
+      defer_unsafe_multiples ctx partner_pre en !multiples !singles
+    in
+    let skipped = if forced then Bitset.diff !multiples fired else Bitset.empty n in
+    Some ({ multiples = fired; singles = !singles }, skipped)
+  end
 
-let apply ctx s { multiples; singles; _ } =
+let apply ctx s { multiples; singles } =
   Dynamics.step_fire ctx ~multiples ~singles s
-
-let debug = match Sys.getenv_opt "GPO_DEBUG" with Some _ -> true | None -> false
 
 (* Telemetry.  Counters mirror the result record exactly (asserted by
    the test suite): [gpo.states] = [result.states], [gpo.restarts] =
@@ -349,9 +288,8 @@ type walk_output = {
   wk_denos : Bitset.t list;  (* normal forms new to this walk *)
 }
 
-let explore ?(reduction = Batched) ?(thorough = true) ?(scan = true)
-    ?(max_states = 1_000_000) ?(max_deadlocks = 64) ?(jobs = 1) ?cancel
-    ?guard ctx =
+let explore ?(scan = true) ?(max_states = 1_000_000) ?(max_deadlocks = 64)
+    ?(jobs = 1) ?cancel ?guard ctx =
   let net = Dynamics.net ctx in
   let choice = Dynamics.choice_transitions ctx in
   let partner_pre = partner_presets ctx in
@@ -405,9 +343,8 @@ let explore ?(reduction = Batched) ?(thorough = true) ?(scan = true)
     let local_dead = Marking_table.create 4 in
     let wits = ref [] in
     let devs = ref [] in
-    let steps = ref 0 in
-    (* Both reductions produce at most one successor per state, so a
-       run is a path (possibly closing a cycle); we walk it carrying
+    (* A state has at most one successor, so a run is a path
+       (possibly closing a cycle); we walk it carrying
        the previous state's rejection sets to scan only deviations
        that are new — a world that fires nothing keeps its tokens,
        hence its pending rejections, and those were already covered
@@ -436,7 +373,6 @@ let explore ?(reduction = Batched) ?(thorough = true) ?(scan = true)
               ("worlds", Gpo_obs.I (W.cardinal (State.valid s)));
             ])
       end;
-      if debug then Format.eprintf "@[<v>STATE@ %a@]@." (State.pp net) s;
       (* Deviation restarts discovered while processing this state.
          World-set iteration order is interning order, which differs
          under parallel runs, so candidates are collected and sorted by
@@ -564,10 +500,6 @@ let explore ?(reduction = Batched) ?(thorough = true) ?(scan = true)
                   then begin
                     let m_t = classical_successor net (denote v) t in
                     let key = normal_form ctx m_t in
-                    if debug then
-                      Format.eprintf "DEVIATION t=%s m_t=%a covered=%b@."
-                        (Net'.transition_name net t) (Net'.pp_marking net) m_t
-                        (denoted_mem key);
                     if not (denoted_mem key) then
                       defer ~conditional:true ~key m_t v t
                   end)
@@ -580,66 +512,49 @@ let explore ?(reduction = Batched) ?(thorough = true) ?(scan = true)
          step: a world that moved has a new denotation, so its
          pending rejections must be re-scanned there. *)
       let sp_fire = Gpo_obs.Span.enter "gpo.fire" in
-      let labels, skipped =
-        successor_labels reduction ctx partner_pre ~thorough ~step:!steps en
-      in
-      (* Firing order was forced against the safe precedence (or a
-         cluster was fired ahead of others in Stepwise mode): cover
-         the "skipped transition first" interleavings by restarting
-         from their firing markings. *)
-      if scan then
-        Bitset.iter
-          (fun w ->
-            W.iter
-              (fun v ->
-                let m_w = classical_successor net (denote v) w in
-                let key = normal_form ctx m_w in
-                if not (denoted_mem key) then
-                  defer ~conditional:true ~key m_w v w)
-              en.m_enab.(w))
-          skipped;
-      List.iter
-        (fun label ->
-          if debug then
-            Format.eprintf "FIRE multiples=%a singles=%a@."
-              (Net'.pp_transition_set net) label.multiples
-              (Format.pp_print_list (fun ppf t ->
-                   Format.pp_print_string ppf (Net'.transition_name net t)))
-              label.singles;
+      Option.iter
+        (fun (label, skipped) ->
+          (* Firing order was forced against the safe precedence:
+             cover the "skipped transition first" interleavings by
+             restarting from their firing markings. *)
+          if scan then
+            Bitset.iter
+              (fun w ->
+                W.iter
+                  (fun v ->
+                    let m_w = classical_successor net (denote v) w in
+                    let key = normal_form ctx m_w in
+                    if not (denoted_mem key) then
+                      defer ~conditional:true ~key m_w v w)
+                  en.m_enab.(w))
+              skipped;
           let s' = apply ctx s label in
-          incr steps;
           Atomic.incr total_edges;
           Gpo_obs.Counter.incr c_edges;
           if State.Table.mem visited s' then begin
-            if scan then begin
-              (* Cycle closure: a transition postponed on every step
-                 of the cycle would otherwise never fire — restart
-                 from its firing markings (usually redundant and
-                 deduplicated; sound either way).  Covers both
-                 deferred multiples and, in Stepwise mode, the
-                 unfired singles. *)
-              let fire_worlds t =
-                if Bitset.mem t choice then
-                  if Bitset.mem t label.multiples then W.empty
-                  else en.m_enab.(t)
-                else if Bitset.mem t label.singles_set then W.empty
-                else en.s_enab.(t)
-              in
-              (* Unlike the in-run deviation scan, these restarts
-                 must not be suppressed by the global denotation
-                 table: the table's premise — that a denoted
-                 marking's future is explored by its world — is
-                 exactly what the closing cycle violated.  The root
-                 memoization still deduplicates. *)
-              for t = 0 to net.Petri.Net.n_transitions - 1 do
-                W.iter
-                  (fun v ->
-                    let m_t = classical_successor net (denote v) t in
-                    defer ~conditional:false ~key:(normal_form ctx m_t) m_t v
-                      t)
-                  (fire_worlds t)
-              done
-            end
+            if scan then
+              (* Cycle closure: a multiple postponed on every step of
+                 the cycle would otherwise never fire — restart from
+                 its firing markings (usually redundant and
+                 deduplicated; sound either way).  Every enabled
+                 conflict-free transition fires in every step, so only
+                 the choice transitions the label left out need it.
+                 Unlike the in-run deviation scan, these restarts must
+                 not be suppressed by the global denotation table: the
+                 table's premise — that a denoted marking's future is
+                 explored by its world — is exactly what the closing
+                 cycle violated.  The root memoization still
+                 deduplicates. *)
+              Bitset.iter
+                (fun t ->
+                  if not (Bitset.mem t label.multiples) then
+                    W.iter
+                      (fun v ->
+                        let m_t = classical_successor net (denote v) t in
+                        defer ~conditional:false ~key:(normal_form ctx m_t) m_t
+                          v t)
+                      en.m_enab.(t))
+                choice
           end
           else begin
             (* State-budget ticket: claim a slot, give it back when
@@ -667,7 +582,7 @@ let explore ?(reduction = Batched) ?(thorough = true) ?(scan = true)
               current := Some (s', carried)
             end
           end)
-        labels;
+        (successor_label ctx partner_pre en);
       flush_deviations ();
       Gpo_obs.Span.exit sp_fire
     done;
@@ -794,10 +709,9 @@ let explore ?(reduction = Batched) ?(thorough = true) ?(scan = true)
        else Guard.Completed);
   }
 
-let analyse ?reduction ?thorough ?scan ?max_states ?max_deadlocks ?jobs
-    ?cancel ?guard net =
-  explore ?reduction ?thorough ?scan ?max_states ?max_deadlocks ?jobs
-    ?cancel ?guard (Dynamics.make net)
+let analyse ?scan ?max_states ?max_deadlocks ?jobs ?cancel ?guard net =
+  explore ?scan ?max_states ?max_deadlocks ?jobs ?cancel ?guard
+    (Dynamics.make net)
 
 let deadlock_free result = result.deadlocks = []
 

@@ -58,17 +58,6 @@ let mapping s =
     s.r []
   |> List.sort Bitset.compare
 
-let pp (net : Petri.Net.t) ppf s =
-  let name = Petri.Net.transition_name net in
-  Format.fprintf ppf "@[<v>";
-  Array.iteri
-    (fun p ws ->
-      if not (W.is_empty ws) then
-        Format.fprintf ppf "%s: %a@ " (Petri.Net.place_name net p)
-          (W.pp ~name ()) ws)
-    s.m;
-  Format.fprintf ppf "r: %a@]" (W.pp ~name ()) s.r
-
 module Table = Hashtbl.Make (struct
   type nonrec t = t
 

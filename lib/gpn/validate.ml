@@ -15,14 +15,14 @@ type report = {
 
 exception Incomplete of Guard.stop_reason
 
-let validate ?reduction ?thorough ?(max_states = 200_000) (net : Petri.Net.t) =
+let validate ?(max_states = 200_000) (net : Petri.Net.t) =
   match
     let classical =
       Petri.Reachability.explore ~max_states ~max_deadlocks:max_int net
     in
     if Petri.Reachability.truncated classical then
       raise (Incomplete classical.stop);
-    let gpo = Explorer.analyse ?reduction ?thorough ~max_states net in
+    let gpo = Explorer.analyse ~max_states net in
     if Explorer.truncated gpo then raise (Incomplete gpo.stop);
     (classical, gpo)
   with
@@ -114,17 +114,3 @@ let validate ?reduction ?thorough ?(max_states = 200_000) (net : Petri.Net.t) =
 let ok r =
   r.verdict_agrees && r.witnesses_sound && r.witnesses_complete
   && r.denotations_reachable && r.traces_valid
-
-let pp ppf r =
-  let flag b = if b then "ok" else "FAILED" in
-  Format.fprintf ppf
-    "@[<v>verdict agreement:      %s@ witness soundness:      %s@ witness \
-     completeness:   %s@ denotation reachability: %s@ trace validity:         \
-     %s@ classical: %d states (%d deadlocks), gpo: %d states%a@]"
-    (flag r.verdict_agrees) (flag r.witnesses_sound) (flag r.witnesses_complete)
-    (flag r.denotations_reachable) (flag r.traces_valid) r.classical_states
-    r.classical_deadlocks r.gpo_states
-    (fun ppf -> function
-      | None -> ()
-      | Some d -> Format.fprintf ppf "@ detail: %s" d)
-    r.detail

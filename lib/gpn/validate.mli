@@ -33,11 +33,7 @@ type report = {
 }
 
 val validate :
-  ?reduction:Explorer.reduction ->
-  ?thorough:bool ->
-  ?max_states:int ->
-  Petri.Net.t ->
-  (report, Guard.stop_reason) result
+  ?max_states:int -> Petri.Net.t -> (report, Guard.stop_reason) result
 (** Run both engines exhaustively ([max_states] defaults to [200_000])
     and compare.  [Error reason] if either exploration stopped before
     covering its state space (typically [State_budget] — use small
@@ -45,6 +41,3 @@ val validate :
 
 val ok : report -> bool
 (** All five checks passed. *)
-
-val pp : Format.formatter -> report -> unit
-(** Render the report, flagging failed checks. *)

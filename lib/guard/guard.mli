@@ -46,8 +46,6 @@ val describe_stop : stop_reason -> string
 (** Human-readable phrase for messages ("wall-clock deadline
     exceeded", ...). *)
 
-val pp_stop : Format.formatter -> stop_reason -> unit
-
 exception Interrupted of stop_reason
 (** Raised by {!poll} when a budget has tripped.  Engines catch this
     around their step loop and return a partial result carrying the
@@ -55,21 +53,17 @@ exception Interrupted of stop_reason
 
 type t
 
-val create :
-  ?deadline_s:float -> ?mem_mb:int -> ?poll_mask:int -> unit -> t
+val create : ?deadline_s:float -> ?mem_mb:int -> unit -> t
 (** [create ~deadline_s ~mem_mb ()] arms a guard [deadline_s] seconds
     from now with a soft heap budget of [mem_mb] megabytes.  Omitted
     budgets never trip.  The memory budget installs a [Gc] alarm
     (per-domain: create the guard in the domain that runs the engine);
-    {!dispose} removes it.  [poll_mask] (a power of two minus one,
-    default [63]) rate-limits the clock/heap reads in {!poll}: the
-    budgets are re-checked every [poll_mask + 1] calls, while a trip
-    already recorded is re-raised on every call. *)
+    {!dispose} removes it. *)
 
 val poll : t -> unit
 (** Cheap check for the hottest loops: re-raise a recorded trip (one
-    atomic load), and every [poll_mask + 1] calls read the clock and
-    heap size.  Raises {!Interrupted}. *)
+    atomic load), and every 64 calls read the clock and heap size.
+    Raises {!Interrupted}. *)
 
 val poll_now : t -> unit
 (** {!poll} without the rate limit — for coarse loops (one BDD
@@ -97,8 +91,7 @@ val trip : t -> stop_reason -> unit
 val dispose : t -> unit
 (** Remove the [Gc] alarm, if any.  Idempotent. *)
 
-val with_guard :
-  ?deadline_s:float -> ?mem_mb:int -> ?poll_mask:int -> (t -> 'a) -> 'a
+val with_guard : ?deadline_s:float -> ?mem_mb:int -> (t -> 'a) -> 'a
 (** [create], run, [dispose] (also on exceptions). *)
 
 val on_memory_pressure : (unit -> unit) -> unit

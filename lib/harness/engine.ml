@@ -44,14 +44,14 @@ let run ?(max_states = 5_000_000) ?(witness = false) ?(gpo_scan = true)
        reduction inside [Reduce.run] itself, and a guard trip during
        reduction degrades the whole run like any engine-loop trip. *)
     let reduction =
-      if reduce then Some (Reduce.run ~query:Reduce.Deadlock net) else None
+      if reduce then Some (Reduce.run net) else None
     in
     let net = match reduction with Some r -> r.Reduce.net | None -> net in
     let outcome = match kind with
     | Full | Stubborn ->
         let explore =
           if kind = Full then Petri.Reachability.explore ?strategy:None
-          else Petri.Stubborn.explore ?heuristic:None
+          else Petri.Stubborn.explore
         in
         let r, time_s =
           timed (fun () ->

@@ -797,13 +797,12 @@ end
 
 module Progress = struct
   let heartbeat : (string -> unit) option ref = ref None
-  let interval = ref 0.5
+  let interval = 0.5
 
   (* Per-name rate limiter and states/sec derivation. *)
   let last : (string, float * int option) Hashtbl.t = Hashtbl.create 8
 
   let set_heartbeat h = heartbeat := h
-  let set_interval s = interval := s
 
   let render name fields =
     let buf = Buffer.create 64 in
@@ -833,7 +832,7 @@ module Progress = struct
       let due =
         match prev with
         | None -> true
-        | Some (t_prev, _) -> now -. t_prev >= !interval
+        | Some (t_prev, _) -> now -. t_prev >= interval
       in
       if due then begin
         let fields = thunk () in

@@ -262,14 +262,10 @@ end
 module Progress : sig
   val sample : string -> (unit -> (string * value) list) -> unit
   (** No-op unless a sink is installed or a heartbeat printer is set;
-      otherwise evaluates the thunk at most once per {!set_interval}
-      seconds per name. *)
+      otherwise evaluates the thunk at most once per 0.5 s per name. *)
 
   val set_heartbeat : (string -> unit) option -> unit
   (** Install (or remove) the heartbeat line printer. *)
-
-  val set_interval : float -> unit
-  (** Minimum seconds between samples of the same name (default 0.5). *)
 end
 
 type dist_stats = {

@@ -38,7 +38,6 @@ module Cancel = struct
     end
 
   let check_opt = function None -> () | Some t -> check t
-  let is_set_opt = function None -> false | Some t -> Atomic.get t
 end
 
 module Pool = struct

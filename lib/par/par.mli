@@ -39,8 +39,6 @@ module Cancel : sig
 
   val check_opt : t option -> unit
   (** {!check} through an optional token; [None] never cancels. *)
-
-  val is_set_opt : t option -> bool
 end
 
 (** A fixed pool of worker domains. *)

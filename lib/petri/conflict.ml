@@ -81,9 +81,3 @@ let dynamic_mcs c enabled =
   in
   Bitset.iter explore enabled;
   List.rev !components
-
-let pp_clusters c ppf () =
-  Array.iteri
-    (fun i members ->
-      Format.fprintf ppf "cluster %d: %a@." i (Net.pp_transition_set c.net) members)
-    c.clusters

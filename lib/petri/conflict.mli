@@ -50,6 +50,3 @@ val dynamic_mcs : t -> Bitset.t -> Bitset.t list
     maximal sets of (transitively) conflicting enabled transitions —
     the connected components of the conflict relation restricted to
     [enabled].  Order follows the smallest member of each set. *)
-
-val pp_clusters : t -> Format.formatter -> unit -> unit
-(** Debug printer listing every cluster with transition names. *)

@@ -1,8 +1,6 @@
-type heuristic = First_seed | Smallest
-
 (* Telemetry: size of the stubborn set actually fired at each marking
    (the quality measure of the reduction — smaller is better), and how
-   many closure computations the Smallest heuristic pays for it. *)
+   many closure computations the seed search pays for it. *)
 let d_set_size = Gpo_obs.Dist.make "stubborn.set_size"
 let c_closures = Gpo_obs.Counter.make "stubborn.closures"
 
@@ -53,39 +51,29 @@ let closure conflict m seed =
   done;
   (List.rev !enabled_members, !n_enabled)
 
-let compute conflict heuristic m =
+(* Try every enabled seed (stopping early at a singleton) and keep the
+   closure with the fewest enabled members. *)
+let compute conflict m =
   let net = Conflict.net conflict in
-  let enabled = Semantics.enabled_set net m in
-  let chosen =
-    if Bitset.is_empty enabled then []
-    else
-      match heuristic with
-      | First_seed ->
-          Gpo_obs.Counter.incr c_closures;
-          fst (closure conflict m (Bitset.choose enabled))
-      | Smallest ->
-          let best = ref [] in
-          let best_size = ref max_int in
-          Bitset.iter
-            (fun seed ->
-              if !best_size > 1 then begin
-                Gpo_obs.Counter.incr c_closures;
-                let members, size = closure conflict m seed in
-                if size < !best_size then begin
-                  best := members;
-                  best_size := size
-                end
-              end)
-            enabled;
-          !best
-  in
-  if chosen <> [] then Gpo_obs.Dist.observe_int d_set_size (List.length chosen);
-  chosen
+  let best = ref [] in
+  let best_size = ref max_int in
+  Bitset.iter
+    (fun seed ->
+      if !best_size > 1 then begin
+        Gpo_obs.Counter.incr c_closures;
+        let members, size = closure conflict m seed in
+        if size < !best_size then begin
+          best := members;
+          best_size := size
+        end
+      end)
+    (Semantics.enabled_set net m);
+  if !best <> [] then Gpo_obs.Dist.observe_int d_set_size (List.length !best);
+  !best
 
-let strategy ?(heuristic = Smallest) conflict : Reachability.strategy =
- fun _net m -> compute conflict heuristic m
+let strategy conflict : Reachability.strategy = fun _net m -> compute conflict m
 
-let explore ?heuristic ?max_states ?max_deadlocks ?traces ?cancel ?guard net =
+let explore ?max_states ?max_deadlocks ?traces ?cancel ?guard net =
   let conflict = Conflict.analyse net in
-  Reachability.explore ~strategy:(strategy ?heuristic conflict) ?max_states
+  Reachability.explore ~strategy:(strategy conflict) ?max_states
     ?max_deadlocks ?traces ?cancel ?guard net

@@ -16,22 +16,17 @@
     preserves all deadlocks and the deadlock-freedom verdict.  No cycle
     proviso is needed for deadlock detection. *)
 
-type heuristic =
-  | First_seed  (** Use the first enabled transition as seed. *)
-  | Smallest  (** Try every enabled seed, keep the set with the fewest
-                  enabled members (better reduction, more work per state). *)
+val compute : Conflict.t -> Bitset.t -> Net.transition list
+(** [compute conflict m] returns the enabled transitions of a stubborn
+    set at marking [m]: the closure of every enabled seed is tried and
+    the one with the fewest enabled members is kept.  The empty list
+    exactly on deadlocked markings. *)
 
-val compute : Conflict.t -> heuristic -> Bitset.t -> Net.transition list
-(** [compute conflict heuristic m] returns the enabled transitions of a
-    stubborn set at marking [m] (all enabled transitions if [m] has
-    none, i.e. the empty list exactly on deadlocked markings). *)
-
-val strategy : ?heuristic:heuristic -> Conflict.t -> Reachability.strategy
+val strategy : Conflict.t -> Reachability.strategy
 (** Expansion strategy for {!Reachability.explore} firing a stubborn set
-    at every marking.  [heuristic] defaults to {!Smallest}. *)
+    at every marking. *)
 
 val explore :
-  ?heuristic:heuristic ->
   ?max_states:int ->
   ?max_deadlocks:int ->
   ?traces:bool ->

@@ -5,22 +5,18 @@ module Counter = Gpo_obs.Counter
 module Gauge = Gpo_obs.Gauge
 module Span = Gpo_obs.Span
 
-type query = Deadlock | Safety
-
 type rule =
   | Dead_transition
   | Unread_place
   | Constant_place
   | Duplicate_place
   | Duplicate_transition
-  | Identity_transition
   | Agglomeration
 
 let all_rules =
   [
     Dead_transition;
     Duplicate_transition;
-    Identity_transition;
     Unread_place;
     Constant_place;
     Duplicate_place;
@@ -33,25 +29,14 @@ let rule_name = function
   | Constant_place -> "constant_place"
   | Duplicate_place -> "duplicate_place"
   | Duplicate_transition -> "duplicate_transition"
-  | Identity_transition -> "identity_transition"
   | Agglomeration -> "agglomeration"
-
-(* Identity_transition keeps the reachable set intact but can turn a live
-   marking into a dead one (the removed self-loop may have been the only
-   enabled transition), so it only fires for coverability queries. *)
-let preserves query rule =
-  match (query, rule) with
-  | Deadlock, Identity_transition -> false
-  | _, _ -> true
 
 type t = {
   original : Net.t;
   net : Net.t;
-  query : query;
   rounds : int;
   applied : (rule * int) list;
   expansions : int array array;
-  place_origin : int array;
   degraded : bool;
 }
 
@@ -63,35 +48,18 @@ let c_runs = Counter.make "reduce.runs"
 let c_degraded = Counter.make "reduce.degraded"
 let g_ratio = Gauge.make "reduce.ratio"
 let fault_site = "reduce.rule"
+let max_rounds = 64
 
-(* Intermediate pipeline state: the current net plus the composed inverse
-   mapping back to the original (transition expansions, place origins) and
-   the per-place protection mask. *)
-type state = {
-  snet : Net.t;
-  exp : int array array;
-  origin : int array;
-  prot : bool array;
-}
+(* Intermediate pipeline state: the current net plus the composed witness
+   expansion of each of its transitions back to the original. *)
+type state = { snet : Net.t; exp : int array array }
 
-let initial_state ?(protect = []) (net : Net.t) =
-  let prot = Array.make net.n_places false in
-  List.iter
-    (fun p ->
-      if p < 0 || p >= net.n_places then
-        invalid_arg (Printf.sprintf "Reduce.run: protected place %d out of range" p);
-      prot.(p) <- true)
-    protect;
-  {
-    snet = net;
-    exp = Array.init net.n_transitions (fun t -> [| t |]);
-    origin = Array.init net.n_places Fun.id;
-    prot;
-  }
+let initial_state (net : Net.t) =
+  { snet = net; exp = Array.init net.n_transitions (fun t -> [| t |]) }
 
 (* Rebuild the net keeping only the masked places/transitions; surviving
-   arcs are renumbered, arcs to removed places vanish.  The inverse
-   mapping columns of removed entities are dropped with them. *)
+   arcs are renumbered, arcs to removed places vanish.  The expansions
+   of removed transitions are dropped with them. *)
 let filter_state st ~keep_place ~keep_trans =
   let net = st.snet in
   let pmap = Array.make net.n_places (-1) in
@@ -132,17 +100,12 @@ let filter_state st ~keep_place ~keep_trans =
         (Bitset.elements net.initial
         |> List.filter_map (fun p -> if keep_place.(p) then Some pmap.(p) else None))
   in
-  {
-    snet;
-    exp = Array.map (fun t -> st.exp.(t)) kept_ts;
-    origin = keep_idx keep_place st.origin;
-    prot = keep_idx keep_place st.prot;
-  }
+  { snet; exp = Array.map (fun t -> st.exp.(t)) kept_ts }
 
 (* Defensive floor: engines expect non-degenerate nets, so a pass never
    erases the last place or transition — it leaves one candidate alone
-   instead (keeping a dead/identity transition or an unread place is
-   always sound, just less reduction). *)
+   instead (keeping a dead transition or an unread place is always
+   sound, just less reduction). *)
 let spare_one mask removable =
   if removable > 0 && removable = Array.length mask then (
     let rec first i = if mask.(i) then i else first (i + 1) in
@@ -216,25 +179,6 @@ let duplicate_transition_pass st =
         ~keep_trans:(Array.map not drop),
       !n )
 
-(* --- Identity transitions (safety only) -------------------------------- *)
-
-let identity_transition_pass st =
-  let net = st.snet in
-  let drop = Array.make net.n_transitions false in
-  let n = ref 0 in
-  for t = 0 to net.n_transitions - 1 do
-    if Bitset.equal net.pre.(t) net.post.(t) then (
-      drop.(t) <- true;
-      incr n)
-  done;
-  let n = spare_one drop !n in
-  if n = 0 then (st, 0)
-  else
-    ( filter_state st
-        ~keep_place:(Array.make net.n_places true)
-        ~keep_trans:(Array.map not drop),
-      n )
-
 (* --- Unread places ----------------------------------------------------- *)
 
 let unread_place_pass st =
@@ -242,7 +186,7 @@ let unread_place_pass st =
   let drop = Array.make net.n_places false in
   let n = ref 0 in
   for p = 0 to net.n_places - 1 do
-    if (not st.prot.(p)) && Array.length net.consumers.(p) = 0 then (
+    if Array.length net.consumers.(p) = 0 then (
       drop.(p) <- true;
       incr n)
   done;
@@ -264,8 +208,7 @@ let constant_place_pass st =
   let n = ref 0 in
   for p = 0 to net.n_places - 1 do
     if
-      (not st.prot.(p))
-      && Bitset.mem p net.initial
+      Bitset.mem p net.initial
       && Array.length net.consumers.(p) > 0
       && Array.for_all (fun t -> Bitset.mem p net.post.(t)) net.consumers.(p)
     then (
@@ -293,9 +236,8 @@ let duplicate_place_pass st =
         Array.to_list net.producers.(p) )
     in
     if Hashtbl.mem seen key then (
-      if not st.prot.(p) then (
-        drop.(p) <- true;
-        incr n))
+      drop.(p) <- true;
+      incr n)
     else Hashtbl.add seen key ()
   done;
   if !n = 0 then (st, 0)
@@ -378,16 +320,11 @@ let apply_agglomeration st p =
           in
           (i, remap net.pre_list.(a), remap (Array.of_list (Bitset.elements post))))
   in
-  let keep_idx a =
-    let out = ref [] in
-    for i = Array.length a - 1 downto 0 do
-      if i <> p then out := a.(i) :: !out
-    done;
-    Array.of_list !out
-  in
   let snet =
     Net.make ~name:net.name
-      ~place_names:(keep_idx net.place_names)
+      ~place_names:
+        (Array.init (net.n_places - 1) (fun q ->
+             net.place_names.(if q < p then q else q + 1)))
       ~transition_names ~arcs
       ~initial:
         (Bitset.elements net.initial
@@ -398,15 +335,14 @@ let apply_agglomeration st p =
       (Array.map (fun t -> st.exp.(t)) kept_ts)
       (Array.map (fun a -> Array.append st.exp.(a) st.exp.(b)) h)
   in
-  { snet; exp; origin = keep_idx st.origin; prot = keep_idx st.prot }
+  { snet; exp }
 
 let agglomeration_candidate st =
   let net = st.snet in
   if net.n_places <= 1 then None
   else
     let ok p =
-      (not st.prot.(p))
-      && (not (Bitset.mem p net.initial))
+      (not (Bitset.mem p net.initial))
       && Array.length net.consumers.(p) = 1
       && Array.length net.producers.(p) > 0
       &&
@@ -435,7 +371,6 @@ let pass_of_rule ~first_round = function
   | Constant_place -> constant_place_pass
   | Duplicate_place -> duplicate_place_pass
   | Duplicate_transition -> duplicate_transition_pass
-  | Identity_transition -> identity_transition_pass
   | Agglomeration -> agglomeration_pass
 
 let rule_index r =
@@ -460,15 +395,13 @@ let round ~first_round rules counts st =
       (st', changed || n > 0))
     (st, false) rules
 
-let identity ?(query = Deadlock) (net : Net.t) =
+let identity (net : Net.t) =
   {
     original = net;
     net;
-    query;
     rounds = 0;
     applied = [];
     expansions = Array.init net.n_transitions (fun t -> [| t |]);
-    place_origin = Array.init net.n_places Fun.id;
     degraded = false;
   }
 
@@ -478,11 +411,7 @@ let ratio r =
   float_of_int (r.original.Net.n_places + r.original.Net.n_transitions)
   /. float_of_int (max 1 (r.net.Net.n_places + r.net.Net.n_transitions))
 
-let run ?(query = Deadlock) ?protect ?rules ?(max_rounds = 64) (net : Net.t) =
-  let rules =
-    List.filter (preserves query)
-      (match rules with Some rs -> rs | None -> all_rules)
-  in
+let run ?(rules = all_rules) (net : Net.t) =
   Counter.incr c_runs;
   List.iter (fun (_, c) -> Counter.touch c) rule_counters;
   let result =
@@ -495,7 +424,7 @@ let run ?(query = Deadlock) ?protect ?rules ?(max_rounds = 64) (net : Net.t) =
               let st', changed = round ~first_round:(n = 0) rules counts st in
               if changed then fix st' (n + 1) else (st', n)
           in
-          let st, rounds = fix (initial_state ?protect net) 0 in
+          let st, rounds = fix (initial_state net) 0 in
           let applied =
             List.filter_map
               (fun r ->
@@ -503,16 +432,14 @@ let run ?(query = Deadlock) ?protect ?rules ?(max_rounds = 64) (net : Net.t) =
                 if n > 0 then Some (r, n) else None)
               all_rules
           in
-          if applied = [] then identity ~query net
+          if applied = [] then identity net
           else
             {
               original = net;
               net = st.snet;
-              query;
               rounds;
               applied;
               expansions = st.exp;
-              place_origin = st.origin;
               degraded = false;
             })
     with
@@ -522,20 +449,13 @@ let run ?(query = Deadlock) ?protect ?rules ?(max_rounds = 64) (net : Net.t) =
            pipeline degrades to the identity reduction: intermediate
            states are immutable, so no half-applied mapping can leak. *)
         Counter.incr c_degraded;
-        { (identity ~query net) with degraded = true }
+        { (identity net) with degraded = true }
   in
   Gauge.set g_ratio (ratio result);
   result
 
 let lift r trace =
   List.concat_map (fun t -> Array.to_list r.expansions.(t)) trace
-
-let place_image r p =
-  let n = Array.length r.place_origin in
-  let rec go i =
-    if i >= n then None else if r.place_origin.(i) = p then Some i else go (i + 1)
-  in
-  go 0
 
 let pp_summary ppf r =
   Format.fprintf ppf "%d places, %d transitions -> %d places, %d transitions (%.2fx"

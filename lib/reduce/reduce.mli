@@ -12,7 +12,15 @@
     [Harness.Certify] can check the final trace against the original
     net semantics alone.
 
-    {2 Rule catalogue and preservation matrix}
+    {2 Rule catalogue}
+
+    Every rule preserves the existence of a reachable dead marking,
+    and that is the only question the pipeline answers.  Cover
+    (safety) questions arrive already monitored: {!Petri.Safety.monitor}
+    turns "can these places be marked together" into a deadlock
+    question on the monitored net (its [tick] self-loop keeps every
+    non-violating marking live), so they need no rule set of their
+    own.  A self-loop must therefore never be dropped as a no-op.
 
     All soundness arguments are made in the library's set semantics
     ({!Petri.Semantics.fire}), under the library-wide contract that the
@@ -23,34 +31,24 @@
     - [Dead_transition] — [t] can never fire: either some input place
       has no producers and starts empty, or a non-negative P-semiflow
       [y] (Farkas, {!Petri.Invariant.p_semiflows}) bounds the weighted
-      token count by [y·m0 < y·pre(t)].  Exact; preserves deadlock and
-      safety.
+      token count by [y·m0 < y·pre(t)].  Exact.
     - [Unread_place] — no transition reads [p] ([consumers(p) = ∅]):
-      its marking influences nothing.  Exact; preserves both.
+      its marking influences nothing.  Exact.
     - [Constant_place] — [p] starts marked and every consumer returns
       it ([p ∈ •t ⇒ p ∈ t•]): in set semantics [p] stays marked
-      forever, so it can be erased from every pre/postset.  Exact;
-      preserves both.
+      forever, so it can be erased from every pre/postset.  Exact.
     - [Duplicate_place] — [p] and [q] have identical arc relations and
-      initial marking: always equally marked; one is dropped.  Exact;
-      preserves both.
+      initial marking: always equally marked; one is dropped.  Exact.
     - [Duplicate_transition] — [•t = •u] and [t• = u•]: [u] is
-      dropped (any firing of [u] is a firing of [t]).  Exact;
-      preserves both.
-    - [Identity_transition] — [•t = t•]: firing is a no-op in set
-      semantics, so removal keeps the reachable set intact — but a
-      marking whose only enabled transition was [t] becomes dead.
-      Preserves safety (coverability) {b only}; never fires for
-      deadlock queries.
+      dropped (any firing of [u] is a firing of [t]).  Exact.
     - [Agglomeration] — serial place/transition chain fusion
       (post-agglomeration): for a place [p] with [m0(p) = 0], a single
       consumer [b] with [•b = {p}], and producers [H ∌ b], each
       [a ∈ H] fuses with [b] into [a+b] ([•(a+b) = •a],
       [(a+b)• = (a•∖{p}) ∪ b•]) and [p], [b], [H] disappear.  On safe
-      nets this preserves deadlock and coverability of any cover
-      avoiding [p] (protected places are never agglomerated); the
-      witness lift expands [a+b ↦ a; b] and is exact in any net, so a
-      lifted witness always replays on the original.
+      nets this preserves deadlock; the witness lift expands
+      [a+b ↦ a; b] and is exact in any net, so a lifted witness always
+      replays on the original.
 
     Rules run to fixpoint (each application strictly shrinks
     [|P| + |T|]); per-rule application counts are reported as
@@ -66,19 +64,12 @@
     half-applied mapping; injected cancellation unwinds with
     [Par.Cancel.Cancelled] as everywhere else. *)
 
-type query =
-  | Deadlock  (** Preserve existence of a reachable dead marking. *)
-  | Safety
-      (** Preserve coverability of marking sets avoiding the removed
-          places (pass the cover as [protect]). *)
-
 type rule =
   | Dead_transition
   | Unread_place
   | Constant_place
   | Duplicate_place
   | Duplicate_transition
-  | Identity_transition
   | Agglomeration
 
 val all_rules : rule list
@@ -87,41 +78,27 @@ val all_rules : rule list
 val rule_name : rule -> string
 (** Counter-friendly name ("dead_transition", "agglomeration", …). *)
 
-val preserves : query -> rule -> bool
-(** The preservation matrix: [true] iff [rule] is verdict-preserving
-    for [query].  Everything preserves both except
-    [Identity_transition], which is safety-only. *)
-
 type t = {
   original : Petri.Net.t;
   net : Petri.Net.t;  (** The reduced net (= [original] when nothing fired). *)
-  query : query;
   rounds : int;  (** Fixpoint rounds until quiescence. *)
   applied : (rule * int) list;  (** Nonzero application counts, pipeline order. *)
   expansions : int array array;
       (** Witness lifting: reduced transition [t] expands to the
           original firing sequence [expansions.(t)]. *)
-  place_origin : int array;
-      (** [place_origin.(p)] is the original index of reduced place
-          [p] (duplicates map to their kept representative). *)
   degraded : bool;
       (** [true] when a fault degraded the pipeline to the identity
           reduction. *)
 }
 
-val run :
-  ?query:query -> ?protect:Petri.Net.place list -> ?rules:rule list ->
-  ?max_rounds:int -> Petri.Net.t -> t
-(** Reduce [net] to fixpoint with the rules that preserve [query]
-    (default [Deadlock]), restricted to [rules] when given (for the
-    per-rule differential tests).  [protect] lists original places
-    that must survive into the reduced net untouched (the cover of a
-    safety query); [max_rounds] (default [64]) caps the fixpoint.
-    The pipeline is defensive: it never erases the last place or
+val run : ?rules:rule list -> Petri.Net.t -> t
+(** Reduce [net] to fixpoint (at most 64 rounds) with [rules]
+    (default {!all_rules}; a subset serves the per-rule differential
+    tests).  The pipeline is defensive: it never erases the last place or
     transition (engines expect non-degenerate nets), and a (possibly
     injected) [Out_of_memory] degrades to the identity reduction. *)
 
-val identity : ?query:query -> Petri.Net.t -> t
+val identity : Petri.Net.t -> t
 (** The no-op reduction of [net] (what a degraded run returns). *)
 
 val is_identity : t -> bool
@@ -130,12 +107,8 @@ val is_identity : t -> bool
 val lift : t -> Petri.Trace.t -> Petri.Trace.t
 (** Map a firing sequence of the reduced net to one of the original
     net by expanding every fused transition; the result replays on
-    [original] and reaches a dead (resp. covering) marking whenever
-    the reduced trace did. *)
-
-val place_image : t -> Petri.Net.place -> Petri.Net.place option
-(** The reduced index of an original place, when it survived
-    ([Some _] is guaranteed for protected places). *)
+    [original] and reaches a dead marking whenever the reduced trace
+    did. *)
 
 val ratio : t -> float
 (** [(|P| + |T|) / (|P'| + |T'|)] — 1.0 when nothing fired. *)

@@ -98,9 +98,7 @@ let test_rw_po_degenerates () =
      transition. *)
   let net = Models.Rw.make 6 in
   let conflict = Petri.Conflict.analyse net in
-  let stubborn =
-    Petri.Stubborn.compute conflict Petri.Stubborn.Smallest net.Petri.Net.initial
-  in
+  let stubborn = Petri.Stubborn.compute conflict net.Petri.Net.initial in
   let enabled =
     Petri.Bitset.cardinal (Petri.Semantics.enabled_set net net.Petri.Net.initial)
   in

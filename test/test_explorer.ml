@@ -1,8 +1,8 @@
 (* Tests for the generalized partial-order explorer: state counts on
-   the paper's models, deadlock witnesses and traces, reduction modes,
-   and exhaustive cross-validation against the classical engine. *)
+   the paper's models, deadlock witnesses and traces, and exhaustive
+   cross-validation against the classical engine. *)
 
-let gpo ?reduction ?thorough net = Gpn.Explorer.analyse ?reduction ?thorough net
+let gpo net = Gpn.Explorer.analyse net
 
 let test_fig2_two_states () =
   (* The 2^(N+1)-1 → 2 collapse of Section 3.1. *)
@@ -75,36 +75,6 @@ let test_witness_and_trace () =
       Alcotest.(check bool) "trace valid" true (Petri.Trace.is_valid net trace);
       Alcotest.(check bool) "trace ends dead" true
         (Petri.Semantics.is_deadlock net (Petri.Trace.final_marking net trace))
-
-let test_stepwise_mode () =
-  (* Stepwise fires one cluster (or single) per step — more states,
-     same verdict: the "one interleaving" variant of Section 3.3. *)
-  List.iter
-    (fun net ->
-      let batched = gpo net in
-      let stepwise = gpo ~reduction:Gpn.Explorer.Stepwise net in
-      Alcotest.(check bool)
-        (net.Petri.Net.name ^ " same verdict")
-        (Gpn.Explorer.deadlock_free batched)
-        (Gpn.Explorer.deadlock_free stepwise);
-      Alcotest.(check bool)
-        (net.Petri.Net.name ^ " stepwise explores at least as many states")
-        true
-        (stepwise.states >= batched.states || List.length stepwise.runs > 1))
-    [ Models.Nsdp.make 3; Models.Figures.fig2 4; Models.Rw.make 4 ]
-
-let test_fig2_stepwise_linear () =
-  (* Firing one conflict set per step gives a linear number of states
-     (the "only one interleaving" variant of Section 3.3), still
-     exponentially below the 2^(N+1)-1 of classical partial order. *)
-  List.iter
-    (fun n ->
-      let r = gpo ~reduction:Gpn.Explorer.Stepwise (Models.Figures.fig2 n) in
-      Alcotest.(check bool)
-        (Printf.sprintf "fig2(%d) stepwise linear (got %d)" n r.states)
-        true
-        (r.states >= n && r.states <= (4 * n) + 4))
-    [ 1; 2; 4; 8 ]
 
 let test_truncation () =
   let r = Gpn.Explorer.analyse ~max_states:1 (Models.Nsdp.make 4) in
@@ -196,8 +166,6 @@ let suite =
     Alcotest.test_case "ASAT slow growth" `Quick test_asat_slow_growth;
     Alcotest.test_case "OVER deadlock free" `Quick test_over_deadlock_free;
     Alcotest.test_case "witness and trace" `Quick test_witness_and_trace;
-    Alcotest.test_case "stepwise mode" `Quick test_stepwise_mode;
-    Alcotest.test_case "fig2 stepwise linear" `Quick test_fig2_stepwise_linear;
     Alcotest.test_case "truncation" `Quick test_truncation;
     Alcotest.test_case "witness cap" `Quick test_max_deadlocks;
     Alcotest.test_case "validate on models" `Quick test_validate_models;

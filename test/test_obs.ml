@@ -180,15 +180,17 @@ let test_explorer_telemetry_consistent () =
   Alcotest.(check int) "gpo.restarts = runs - 1"
     (List.length r.Gpn.Explorer.runs - 1)
     restarts;
-  (* A scanning run that restarts must also agree. *)
+  (* A scanning run that restarts must also agree.  over-2 restarts in
+     the default configuration; the first check keeps this case from
+     silently losing its restart. *)
   Obs.reset ();
-  let r =
-    Gpn.Explorer.analyse ~reduction:Gpn.Explorer.Stepwise (Models.Nsdp.make 4)
-  in
-  Alcotest.(check int) "stepwise: gpo.states = result.states"
+  let r = Gpn.Explorer.analyse (Models.Over.make 2) in
+  Alcotest.(check bool) "over-2 restarts" true
+    (List.length r.Gpn.Explorer.runs > 1);
+  Alcotest.(check int) "restarting: gpo.states = result.states"
     r.Gpn.Explorer.states
     (Obs.Counter.value (Obs.Counter.make "gpo.states"));
-  Alcotest.(check int) "stepwise: gpo.restarts = runs - 1"
+  Alcotest.(check int) "restarting: gpo.restarts = runs - 1"
     (List.length r.Gpn.Explorer.runs - 1)
     (Obs.Counter.value (Obs.Counter.make "gpo.restarts"))
 

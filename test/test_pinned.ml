@@ -20,8 +20,8 @@ let digest (r : E.result) =
     [ String.concat ";" roots; String.concat ";" witnesses; Guard.describe_stop r.E.stop ]
   |> Digest.string |> Digest.to_hex
 
-let check ?reduction ~label net (states, edges, d) =
-  let r = E.analyse ?reduction net in
+let check ~label net (states, edges, d) =
+  let r = E.analyse net in
   Alcotest.(check (triple int int string))
     (label ^ ": states, edges, digest") (states, edges, d)
     (r.E.states, r.E.edges, digest r)
@@ -41,13 +41,6 @@ let zoo =
     (Models.Rw.make 3, 2, 2, "cc2d89401897f01589ff00732e80b8e9");
     (Models.Rw.make 6, 2, 2, "3d2b11d60e938f9894c0a78d40d96fe5");
     (Models.Scheduler.make 3, 4, 4, "677fc410b4065c5e3783b6c9662be508");
-  ]
-
-let stepwise =
-  [
-    (Models.Figures.fig2 4, 5, 4, "a4e437ae1418f88420df2a5cf459c15d");
-    (Models.Nsdp.make 3, 11, 11, "0b94f4e017eaf1029b53ffcade9cdfbd");
-    (Models.Rw.make 4, 2, 2, "c3c153ba3b6ec8809e06702c571c3cf3");
   ]
 
 (* Indexed by [Models.Random_net.generate] seed. *)
@@ -205,14 +198,13 @@ let random =
     (8, 6, "bb91ad12240588ac9f7189cb704c156f");
   |]
 
-let check_all ?reduction rows =
+let check_all rows =
   List.iter
     (fun (net, states, edges, d) ->
-      check ?reduction ~label:net.Petri.Net.name net (states, edges, d))
+      check ~label:net.Petri.Net.name net (states, edges, d))
     rows
 
 let test_zoo () = check_all zoo
-let test_stepwise () = check_all ~reduction:E.Stepwise stepwise
 
 let test_random () =
   Array.iteri
@@ -231,10 +223,92 @@ let test_large_node_ids () =
   Alcotest.(check int) "fig2-4 states" 2 r.E.states;
   check_all zoo
 
+(* The other engines and the structural reduction, pinned at the
+   commit before their ablation-only configurations were deleted: per
+   conformance zoo net and its monitored variant (the net a cover
+   question's reduction runs on), the spin+po state count, the smv peak
+   live BDD nodes and a digest of [Reduce.run]'s output. *)
+let reduce_digest (r : Reduce.t) =
+  let ints a = String.concat "," (List.map string_of_int (Array.to_list a)) in
+  let applied =
+    List.map
+      (fun (rule, n) -> Printf.sprintf "%s=%d" (Reduce.rule_name rule) n)
+      r.Reduce.applied
+  in
+  String.concat "|"
+    [
+      Petri.Net.digest r.Reduce.net;
+      string_of_int r.Reduce.rounds;
+      String.concat ";" applied;
+      String.concat ";" (Array.to_list (Array.map ints r.Reduce.expansions));
+    ]
+  |> Digest.string |> Digest.to_hex
+
+let engines =
+  [
+    ("fig1", 4, 298, "8f6c0bc49b7ecde9b381aa122496c632");
+    ("fig2-4", 31, 1741, "bee16b0b70d7755c8ed49e692ce54411");
+    ("fig2-6", 127, 5296, "da421e951a4a4ef9946521dcafa73385");
+    ("fig3", 4, 244, "c78de2096fca35a80d3b04978bec53ba");
+    ("fig5", 2, 108, "1f19c36cab6d88b43c4d221146777e8f");
+    ("fig7", 5, 250, "278bfbfbb4ca66acb38ee983ba43a7d4");
+    ("nsdp-2", 13, 2114, "6d332152cfa065227f3ac7891c260171");
+    ("nsdp-4", 57, 23568, "bb5039f6b501b233d2b23ae449ad8c82");
+    ("asat-2", 16, 7938, "e4382949c20b7c192eddb474fcb1d500");
+    ("over-2", 8, 1311, "044ff286e74da2e89f27b65b7e127814");
+    ("over-3", 13, 6279, "24ece8047abf0b8e21dac0ea07391e76");
+    ("over-4", 18, 21083, "b689dc5b185f3f0c5dd6047e3f5197e2");
+    ("rw-3", 7, 2122, "b9e24fc69214e79102fe0c5405f37556");
+    ("rw-6", 13, 17776, "49acbb5765298845a2d24d2c8ff21c82");
+    ("scheduler-2", 6, 331, "b2dab05f6dad9590b720249f5c932b7a");
+    ("scheduler-3", 10, 1118, "c8ab33d96f0053fc6a4703ed34cf245d");
+    ("fig1-monitored", 12, 558, "f12c752c91603d37cee358efc000c8e5");
+    ("fig2-4-monitored", 108, 2367, "4c37cd724a12b051f22e0d2b0f1cf688");
+    ("fig2-6-monitored", 972, 6571, "350b3a2e6e0ec9e81df2a8965c69d28c");
+    ("fig3-monitored", 5, 422, "bb0c3bf20763d5acce19ba91ee887b38");
+    ("fig5-monitored", 3, 249, "d6a9f15b08311a8bf77897eddb36ec4a");
+    ("fig7-monitored", 6, 420, "db98a0f524450e8d58b6b1cd93b482f3");
+    ("nsdp-2-monitored", 25, 2796, "2b84fa707f13d7ddea450577c0f4a095");
+    ("nsdp-4-monitored", 490, 28896, "e695dd0c6dab260302501ed2e333f97b");
+    ("asat-2-monitored", 49, 10069, "8e098f2a8c89602d9898d151d9b50840");
+    ("over-2-monitored", 24, 1969, "ff9286ac0118de5f505400c57676ba77");
+    ("over-3-monitored", 120, 8400, "3dc33b464d12a0923dc232f9290828fa");
+    ("over-4-monitored", 672, 26846, "42e0580e2268b7b296f697ea974265b7");
+    ("rw-3-monitored", 15, 2931, "c058cd856f6b73715bb17fc3b8f4870e");
+    ("rw-6-monitored", 102, 22039, "4d12ab8370604ea5e36934ec32c4d295");
+    ("scheduler-2-monitored", 10, 567, "3ce281c2604661db7e7400bd0dd2dbb3");
+    ("scheduler-3-monitored", 28, 1638, "7ab9a433be8569a501a8291a4434f0d7");
+  ]
+
+let test_engines () =
+  let nets =
+    List.map (fun (net : Petri.Net.t) -> (net.name, net)) Test_conformance.zoo
+    @ List.filter_map
+        (fun (net : Petri.Net.t) ->
+          Option.map
+            (fun m -> (net.name ^ "-monitored", m))
+            (Test_conformance.monitored net))
+        Test_conformance.zoo
+  in
+  Alcotest.(check (list string))
+    "pinned nets" (List.map (fun (l, _, _, _) -> l) engines) (List.map fst nets);
+  List.iter2
+    (fun (label, net) (_, po_states, smv_peak, reduced) ->
+      let po = Petri.Stubborn.explore net in
+      let smv = Bddkit.Symbolic.analyse net in
+      Alcotest.(check (triple int int string))
+        (label ^ ": spin+po states, smv peak nodes, reduction digest")
+        (po_states, smv_peak, reduced)
+        ( po.Petri.Reachability.states,
+          smv.Bddkit.Symbolic.peak_live_nodes,
+          reduce_digest (Reduce.run net) ))
+    nets engines
+
 let suite =
   [
     Alcotest.test_case "results on the zoo" `Quick test_zoo;
-    Alcotest.test_case "results, stepwise" `Quick test_stepwise;
+    Alcotest.test_case "other engines and reduction on the zoo" `Quick
+      test_engines;
     Alcotest.test_case "results on random nets" `Slow test_random;
     Alcotest.test_case "zoo with node ids past 2^31" `Quick test_large_node_ids;
   ]

@@ -1,8 +1,8 @@
 (* Metamorphic differential suite for the structural reduction pipeline.
 
    The reduction rewrites a net into a smaller one that must answer the
-   query identically, so the whole subsystem is testable from first
-   principles without trusting any of its internals:
+   deadlock question identically, so the whole subsystem is testable
+   from first principles without trusting any of its internals:
 
    - every engine's verdict on the reduced net must equal its verdict on
      the original (and the exhaustive ground truth), over the zoo and a
@@ -10,7 +10,7 @@
    - every violated verdict produced through [~reduce:true] must carry a
      witness that replays — via [Harness.Certify] — against the
      {e original} net, i.e. the composed inverse mapping is exact;
-   - each rule {e alone} must preserve its query (per-rule differentials
+   - each rule {e alone} must preserve the verdict (per-rule differentials
      with the explicit engine as oracle), fire on a hand-made net
      exhibiting its pattern, and leave a net without the pattern alone.
 
@@ -128,44 +128,6 @@ let check_rule_deadlock ~label rule net =
               Failure_dump.failf ~trace:lifted ~label net
                 "%s: lifted witness ends in a live marking" (R.rule_name rule)
 
-(* Identity_transition preserves coverability only, so its differential
-   compares safety ground truth: the cover (preset of transition 0,
-   protected so it survives verbatim) is reachable on the original iff
-   its image is reachable on the reduced net. *)
-let check_identity_rule_safety ~label (net : Net.t) =
-  match Bitset.elements net.pre.(0) with
-  | [] -> ()
-  | never_all -> (
-      let property = { Petri.Safety.name = "red"; never_all } in
-      let red = R.run ~query:R.Safety ~protect:never_all
-          ~rules:[ R.Identity_transition ] net
-      in
-      let mapped =
-        List.map
-          (fun p ->
-            match R.place_image red p with
-            | Some p' -> p'
-            | None ->
-                Failure_dump.failf ~label net
-                  "identity_transition dropped protected place %s"
-                  (Net.place_name net p))
-          never_all
-      in
-      let property' = { Petri.Safety.name = "red"; never_all = mapped } in
-      match
-        ( Petri.Safety.violated_explicit ~max_states net property,
-          Petri.Safety.violated_explicit ~max_states red.R.net property' )
-      with
-      | exception Failure _ -> ()
-      | original, reduced ->
-          if original <> reduced then
-            Failure_dump.failf ~label net
-              "identity_transition flips coverability: original=%b reduced=%b"
-              original reduced)
-
-let deadlock_rules =
-  List.filter (R.preserves R.Deadlock) R.all_rules
-
 let per_rule_zoo () =
   List.iter
     (fun (net : Net.t) ->
@@ -174,8 +136,7 @@ let per_rule_zoo () =
           check_rule_deadlock
             ~label:(Printf.sprintf "%s-%s" net.name (R.rule_name rule))
             rule net)
-        deadlock_rules;
-      check_identity_rule_safety ~label:(net.name ^ "-identity-safety") net)
+        R.all_rules)
     Test_conformance.zoo
 
 let per_rule_random () =
@@ -186,10 +147,7 @@ let per_rule_random () =
           check_rule_deadlock
             ~label:(Printf.sprintf "seed-%d-%s" seed (R.rule_name rule))
             rule net)
-        deadlock_rules;
-      check_identity_rule_safety
-        ~label:(Printf.sprintf "seed-%d-identity-safety" seed)
-        net)
+        R.all_rules)
 
 (* --- Rule-specific unit nets: must fire / must not fire ---------------- *)
 
@@ -300,21 +258,6 @@ let duplicate_transition_units () =
   expect_identity ~label:"dup-trans-not"
     (R.run ~rules:[ R.Duplicate_transition ] (Models.Nsdp.make 2))
 
-let identity_transition_units () =
-  let b = B.create "identity" in
-  let p0 = B.place b ~marked:true "p0" in
-  let p1 = B.place b "p1" in
-  ignore (B.transition b "noop" ~pre:[ p0 ] ~post:[ p0 ]);
-  ignore (B.transition b "t" ~pre:[ p0 ] ~post:[ p1 ]);
-  let net = B.build b in
-  let r = R.run ~query:R.Safety ~rules:[ R.Identity_transition ] net in
-  expect_sizes ~label:"identity" r (2, 1);
-  (* The rule is safety-only: a deadlock-query run must filter it out
-     even when asked for explicitly — removing the self-loop could
-     fabricate a deadlock. *)
-  expect_identity ~label:"identity-deadlock-filtered"
-    (R.run ~query:R.Deadlock ~rules:[ R.Identity_transition ] net)
-
 let agglomeration_units () =
   let b = B.create "agglo" in
   let p0 = B.place b ~marked:true "p0" in
@@ -352,33 +295,6 @@ let agglomeration_units () =
       Failure_dump.failf ~label:"agglo-rw" rw
         "expected fused transition startR.0+endR.0 in the reduced net"
 
-(* --- Protection and degradation --------------------------------------- *)
-
-let protect_survives () =
-  List.iter
-    (fun (net : Net.t) ->
-      let all_places = List.init net.n_places Fun.id in
-      let protect = List.filteri (fun i _ -> i mod 2 = 0) all_places in
-      let r = R.run ~query:R.Safety ~protect net in
-      List.iter
-        (fun p ->
-          match R.place_image r p with
-          | Some p' ->
-              if
-                not
-                  (String.equal (Net.place_name net p)
-                     (Net.place_name r.R.net p'))
-              then
-                Failure_dump.failf ~label:(net.name ^ "-protect") net
-                  "protected place %s maps to differently-named %s"
-                  (Net.place_name net p)
-                  (Net.place_name r.R.net p')
-          | None ->
-              Failure_dump.failf ~label:(net.name ^ "-protect") net
-                "protected place %s was removed" (Net.place_name net p))
-        protect)
-    Test_conformance.zoo
-
 let suite =
   [
     Alcotest.test_case "rule units: dead transition" `Quick
@@ -389,10 +305,7 @@ let suite =
       duplicate_place_units;
     Alcotest.test_case "rule units: duplicate transition" `Quick
       duplicate_transition_units;
-    Alcotest.test_case "rule units: identity transition" `Quick
-      identity_transition_units;
     Alcotest.test_case "rule units: agglomeration" `Quick agglomeration_units;
-    Alcotest.test_case "protected places survive" `Quick protect_survives;
     Alcotest.test_case "zoo: engines agree, witnesses lift" `Quick zoo_pipeline;
     Alcotest.test_case "zoo: each rule alone preserves its query" `Quick
       per_rule_zoo;

@@ -44,15 +44,6 @@ let test_random_nets () =
     count_agrees (Models.Random_net.generate seed)
   done
 
-let test_partitioned_equals_monolithic () =
-  List.iter
-    (fun net ->
-      let p = Bddkit.Symbolic.analyse ~partitioned:true net in
-      let m = Bddkit.Symbolic.analyse ~partitioned:false net in
-      Alcotest.(check (float 0.0)) "same count" p.states m.states;
-      Alcotest.(check bool) "same verdict" (p.deadlock <> None) (m.deadlock <> None))
-    [ Models.Nsdp.make 3; Models.Rw.make 4; Models.Over.make 3 ]
-
 let test_iterations_is_bfs_depth () =
   (* fig2(3): every run fires its 3 independent conflicts in 1 BFS level
      each... the diameter of the marking graph is 3. *)
@@ -93,8 +84,6 @@ let suite =
   [
     Alcotest.test_case "counts agree on models" `Quick test_models;
     Alcotest.test_case "counts agree on random nets" `Slow test_random_nets;
-    Alcotest.test_case "partitioned = monolithic" `Quick
-      test_partitioned_equals_monolithic;
     Alcotest.test_case "bfs depth" `Quick test_iterations_is_bfs_depth;
     Alcotest.test_case "encoding internals" `Quick test_encoding_internals;
     Alcotest.test_case "RW encodes compactly" `Quick test_rw_compact_encoding;

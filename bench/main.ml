@@ -413,8 +413,8 @@ let guard_overhead () =
         let r, t =
           time (fun () ->
               (* Generous budgets: armed, polled, never tripping. *)
-              Guard.with_guard ~deadline_s:3600. ~mem_mb:65536 (fun g ->
-                  Petri.Reachability.explore ~max_states ~guard:g net))
+              let guard = Guard.create ~deadline_s:3600. ~mem_mb:65536 () in
+              Petri.Reachability.explore ~max_states ~guard net)
         in
         assert (r.Petri.Reachability.states = states);
         guarded := Float.min !guarded t

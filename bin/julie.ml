@@ -71,7 +71,7 @@ let obs_term =
            ~doc:"Write the run's timeline to $(docv) as Chrome trace-event \
                  JSON: open it in Perfetto (ui.perfetto.dev) or \
                  chrome://tracing to see spans on one track per domain, \
-                 counter tracks, lock-wait spans and guard/fault/cancel \
+                 counter tracks, lock-wait spans and guard-trip/fault \
                  markers.")
   in
   let progress =
@@ -93,7 +93,7 @@ let with_obs opts f =
   let trace =
     Option.map
       (fun path ->
-        let sink, read = Gpo_obs.Trace.collecting_sink () in
+        let sink, read = Gpo_obs.memory_sink () in
         (path, sink, read))
       opts.trace_out
   in

@@ -111,7 +111,7 @@ let d_witness_len = Gpo_obs.Dist.make "smv.witness.length"
    relations for a transition whose preimage of the current marking
    meets the previous layer — yields a shortest firing sequence from
    the initial marking to [target]. *)
-let reconstruct ?cancel enc layers target =
+let reconstruct ?guard enc layers target =
   let m = enc.Internal.manager in
   let member marking layer =
     not (Bdd.is_zero (Bdd.and_ m layer (Internal.cube_of_marking enc marking)))
@@ -126,7 +126,7 @@ let reconstruct ?cancel enc layers target =
     find 0
   in
   let rec walk i marking acc =
-    Par.Cancel.check_opt cancel;
+    Guard.check_cancelled ?guard ();
     Guard.Fault.probe "smv.witness";
     if i = 0 then acc
     else begin
@@ -150,7 +150,7 @@ let reconstruct ?cancel enc layers target =
   in
   walk depth target []
 
-let analyse ?(witness = false) ?cancel ?guard (net : Petri.Net.t) =
+let analyse ?(witness = false) ?guard (net : Petri.Net.t) =
   let t0 = Unix.gettimeofday () in
   Gpo_obs.Counter.touch c_iterations;
   let enc = Gpo_obs.Span.time "smv.encode" (fun () -> Internal.encode net) in
@@ -170,7 +170,7 @@ let analyse ?(witness = false) ?cancel ?guard (net : Petri.Net.t) =
      "no deadlock" becomes inconclusive. *)
   (try
      while not (Bdd.is_zero !frontier) do
-       Guard.check_now ?cancel ?guard ();
+       Guard.check_now ?guard ();
        Guard.Fault.probe "smv.iter";
        let successors =
          Gpo_obs.Span.time "smv.image" (fun () -> Internal.image enc !frontier)
@@ -214,7 +214,7 @@ let analyse ?(witness = false) ?cancel ?guard (net : Petri.Net.t) =
         Some
           (Gpo_obs.Span.time "smv.witness" (fun () ->
                let trace =
-                 reconstruct ?cancel enc (Array.of_list (List.rev !layers)) dead
+                 reconstruct ?guard enc (Array.of_list (List.rev !layers)) dead
                in
                Gpo_obs.Dist.observe_int d_witness_len (List.length trace);
                trace))

@@ -37,19 +37,20 @@ val truncated : result -> bool
 (** [stop <> Completed]. *)
 
 val analyse :
-  ?witness:bool -> ?cancel:Par.Cancel.t -> ?guard:Guard.t -> Petri.Net.t ->
-  result
+  ?witness:bool -> ?guard:Guard.t -> Petri.Net.t -> result
 (** Run the symbolic reachability analysis: one relation per
     transition, with the per-transition images accumulated at every
     fixpoint step.  [witness] (default
     [false]) retains the frontier layers during the fixpoint and, if a
     deadlock exists, reconstructs a concrete firing sequence to it
     (reported in the [witness] field; costs one live BDD per layer).
-    [cancel] and [guard] are polled once per fixpoint iteration (and
-    [cancel] again at every witness walk-back step); a tripped guard
-    ends the fixpoint early with the partial reachable set and [stop]
-    carrying the reason.  Each analysis owns a fresh BDD manager, so
-    the engine is domain-safe and needs no further synchronisation. *)
+    [guard] is polled once per fixpoint iteration; a trip ends the
+    fixpoint early with the partial reachable set and [stop] carrying
+    the reason.  The witness walk-back checks it for cancellation only
+    ({!Guard.check_cancelled}) and raises [Guard.Interrupted Cancelled]
+    rather than return a partial trace.  Each analysis owns a fresh BDD
+    manager, so the engine is domain-safe and needs no further
+    synchronisation. *)
 
 module Internal : sig
   (** Exposed for white-box tests. *)

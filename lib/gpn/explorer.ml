@@ -289,7 +289,7 @@ type walk_output = {
 }
 
 let explore ?(scan = true) ?(max_states = 1_000_000) ?(max_deadlocks = 64)
-    ?(jobs = 1) ?cancel ?guard ctx =
+    ?(jobs = 1) ?guard ctx =
   let net = Dynamics.net ctx in
   let choice = Dynamics.choice_transitions ctx in
   let partner_pre = partner_presets ctx in
@@ -356,7 +356,7 @@ let explore ?(scan = true) ?(max_states = 1_000_000) ?(max_deadlocks = 64)
     while !current <> None do
       (* One state expansion recomputes the full enabling relation
          over world sets — far heavier than an unmasked poll. *)
-      Guard.check_now ?cancel ?guard ();
+      Guard.check_now ?guard ();
       Guard.Fault.probe "gpo.step";
       let s, prev_rejections =
         match !current with Some v -> v | None -> assert false
@@ -658,7 +658,7 @@ let explore ?(scan = true) ?(max_states = 1_000_000) ?(max_deadlocks = 64)
      partial run leaks into [result.runs]. *)
   let drain_waves pool =
     while not (Queue.is_empty pending) do
-      Guard.check_now ?cancel ?guard ();
+      Guard.check_now ?guard ();
       (* Explicit recursive drain: [Array.init] with a side-effecting
          body has unspecified evaluation order. *)
       let rec drain acc =
@@ -709,17 +709,17 @@ let explore ?(scan = true) ?(max_states = 1_000_000) ?(max_deadlocks = 64)
        else Guard.Completed);
   }
 
-let analyse ?scan ?max_states ?max_deadlocks ?jobs ?cancel ?guard net =
-  explore ?scan ?max_states ?max_deadlocks ?jobs ?cancel ?guard
+let analyse ?scan ?max_states ?max_deadlocks ?jobs ?guard net =
+  explore ?scan ?max_states ?max_deadlocks ?jobs ?guard
     (Dynamics.make net)
 
 let deadlock_free result = result.deadlocks = []
 
 (* Transitions fired by world [v] along the run's path from its
    initial state to [target]. *)
-let replay_in_world ?cancel ctx run v target =
+let replay_in_world ?guard ctx run v target =
   let rec path s acc =
-    Par.Cancel.check_opt cancel;
+    Guard.check_cancelled ?guard ();
     Guard.Fault.probe "gpo.witness";
     match State.Table.find_opt run.predecessor s with
     | None -> acc
@@ -743,23 +743,23 @@ let replay_in_world ?cancel ctx run v target =
 
 (* Classical trace from the net's initial marking to the run's
    root. *)
-let rec root_trace ?cancel ctx run =
+let rec root_trace ?guard ctx run =
   match run.origin with
   | Init -> []
   | Deviation { parent; state; world; transition } ->
-      root_trace ?cancel ctx parent
-      @ replay_in_world ?cancel ctx parent world state
+      root_trace ?guard ctx parent
+      @ replay_in_world ?guard ctx parent world state
       @ [ transition ]
 
 let d_witness_len = Gpo_obs.Dist.make "gpo.witness.length"
 
-let deadlock_trace ?cancel result witness =
+let deadlock_trace ?guard result witness =
   Gpo_obs.Span.time "gpo.witness" @@ fun () ->
   let ctx = result.ctx in
   let v = W.choose witness.worlds in
   let trace =
-    root_trace ?cancel ctx witness.run
-    @ replay_in_world ?cancel ctx witness.run v witness.state
+    root_trace ?guard ctx witness.run
+    @ replay_in_world ?guard ctx witness.run v witness.state
   in
   Gpo_obs.Dist.observe_int d_witness_len (List.length trace);
   trace

@@ -46,6 +46,7 @@ let () =
 
 let c_deadline_trips = Gpo_obs.Counter.make "guard.deadline.trips"
 let c_mem_trips = Gpo_obs.Counter.make "guard.mem.trips"
+let c_cancel_trips = Gpo_obs.Counter.make "guard.cancel.trips"
 
 let word_bytes = Sys.word_size / 8
 
@@ -54,14 +55,15 @@ let word_bytes = Sys.word_size / 8
 let poll_mask = 63
 
 type t = {
+  parent : t option;
   deadline : float;  (** absolute [Unix.gettimeofday] time; [infinity] = none *)
   mem_words : int;  (** soft heap budget in words; [max_int] = none *)
   tripped : stop_reason option Atomic.t;
   mutable countdown : int;
-      (* Benign race: shared across domains without synchronisation,
-         so concurrent pollers may check the budgets a little more or
-         less often than the mask says — never incorrectly. *)
-  mutable alarm : Gc.alarm option;
+      (* Written by every [poll]: a guard polled from several domains
+         at once would bounce this field between their caches, so each
+         domain polls a guard of its own and shares trips through
+         [parent]. *)
 }
 
 let trip g reason =
@@ -69,6 +71,7 @@ let trip g reason =
     (match reason with
     | Deadline -> Gpo_obs.Counter.incr c_deadline_trips
     | Memory -> Gpo_obs.Counter.incr c_mem_trips
+    | Cancelled -> Gpo_obs.Counter.incr c_cancel_trips
     | _ -> ());
     Gpo_obs.instant "guard.trip"
       [ ("reason", Gpo_obs.S (string_of_stop reason)) ]
@@ -76,7 +79,7 @@ let trip g reason =
 
 let heap_words () = (Gc.quick_stat ()).Gc.heap_words
 
-let create ?deadline_s ?mem_mb () =
+let create ?parent ?deadline_s ?mem_mb () =
   let deadline =
     match deadline_s with
     | None -> infinity
@@ -87,37 +90,26 @@ let create ?deadline_s ?mem_mb () =
     | None -> max_int
     | Some mb -> max 1 mb * 1024 * 1024 / word_bytes
   in
-  let g =
-    {
-      deadline;
-      mem_words;
-      tripped = Atomic.make None;
-      countdown = 0;
-      alarm = None;
-    }
-  in
-  (* The Gc alarm fires at the end of each major collection — the
-     natural moment to notice the heap has outgrown its budget, and
-     early enough that the run unwinds before the allocator fails for
-     real.  Alarms are per-domain: create the guard in the domain that
-     runs the engine.  [poll] re-checks the heap directly, so a guard
-     shared with sibling domains still trips there. *)
-  if mem_words < max_int then
-    g.alarm <-
-      Some (Gc.create_alarm (fun () -> if heap_words () >= mem_words then trip g Memory));
-  g
+  { parent; deadline; mem_words; tripped = Atomic.make None; countdown = 0 }
 
-let recheck g =
+(* The guard's own trip first, then its ancestors', nearest first. *)
+let rec tripped g =
+  match Atomic.get g.tripped with
+  | Some _ as r -> r
+  | None -> ( match g.parent with None -> None | Some p -> tripped p)
+
+let rec recheck g =
   (* Inclusive comparison: a deadline of now (deadline_s = 0.0) is
      already expired even when the clock has not ticked past it — the
      strict form made zero-budget runs racy against the microsecond
      clock resolution. *)
   if g.deadline < infinity && Unix.gettimeofday () >= g.deadline then
     trip g Deadline;
-  if g.mem_words < max_int && heap_words () >= g.mem_words then trip g Memory
+  if g.mem_words < max_int && heap_words () >= g.mem_words then trip g Memory;
+  match g.parent with None -> () | Some p -> recheck p
 
 let raise_if_tripped g =
-  match Atomic.get g.tripped with
+  match tripped g with
   | Some reason -> raise (Interrupted reason)
   | None -> ()
 
@@ -136,27 +128,19 @@ let poll g =
   end
   else g.countdown <- n - 1
 
-let check ?cancel ?guard () =
-  Par.Cancel.check_opt cancel;
-  match guard with None -> () | Some g -> poll g
+let check ?guard () = match guard with None -> () | Some g -> poll g
+let check_now ?guard () = match guard with None -> () | Some g -> poll_now g
 
-let check_now ?cancel ?guard () =
-  Par.Cancel.check_opt cancel;
-  match guard with None -> () | Some g -> poll_now g
+let rec cancelled g =
+  Atomic.get g.tripped = Some Cancelled
+  || match g.parent with None -> false | Some p -> cancelled p
 
-let tripped g = Atomic.get g.tripped
-let stop g = match Atomic.get g.tripped with Some r -> r | None -> Completed
+let check_cancelled ?guard () =
+  match guard with
+  | Some g when cancelled g -> raise (Interrupted Cancelled)
+  | _ -> ()
 
-let dispose g =
-  match g.alarm with
-  | None -> ()
-  | Some a ->
-      g.alarm <- None;
-      Gc.delete_alarm a
-
-let with_guard ?deadline_s ?mem_mb f =
-  let g = create ?deadline_s ?mem_mb () in
-  Fun.protect ~finally:(fun () -> dispose g) (fun () -> f g)
+let stop g = match tripped g with Some r -> r | None -> Completed
 
 (* ------------------------------------------------------------------ *)
 (* Memory-pressure hooks                                               *)
@@ -249,7 +233,7 @@ module Fault = struct
     match kind with
     | Oom -> raise Out_of_memory
     | Delay -> Unix.sleepf 2e-4
-    | Cancel -> raise Par.Cancel.Cancelled
+    | Cancel -> raise (Interrupted Cancelled)
 
   let probe site =
     match Atomic.get config with

@@ -1,29 +1,36 @@
-(** Resource governance: deadlines, memory budgets, typed stop
-    reasons, and deterministic fault injection.
+(** Resource governance: deadlines, memory budgets, cancellation, typed
+    stop reasons, and deterministic fault injection.
 
     Every engine run ends for exactly one {!stop_reason}.  A run that
     covered its whole state space stops with {!Completed}; every other
     reason marks the result as partial, and the harness must treat a
     clean-looking partial result as inconclusive — never as a proof.
 
-    A {!t} bundles the two soft budgets:
+    A {!t} is the one stop signal of an engine run.  It trips for one
+    of three reasons:
 
     - a {e deadline} — absolute wall clock, checked by {!poll} from the
-      engine step loops (the same places that poll [Par.Cancel]);
-    - a {e memory budget} — a [Gc] alarm trips the guard at the end of
-      a major collection once the heap exceeds the budget, so the run
-      unwinds at the next poll instead of dying inside the allocator.
-      {!poll} double-checks the heap size directly in case the alarm
-      has not fired yet.
+      engine step loops;
+    - a {e memory budget} — {!poll} reads the heap size, so the run
+      stops at its next step instead of dying inside the allocator;
+    - {e cancellation} — {!trip} [g Cancelled], by whoever owns [g] or
+      one of its ancestors: the portfolio stops its race losers this
+      way, the service its in-flight jobs on a hard drain.
 
-    Both trip points are sticky: the first reason wins and every later
-    {!poll} re-raises it, so a tripped guard also stops any sibling
-    domain polling the same guard.  As a last resort, callers that
-    catch a genuine [Out_of_memory] can call {!relieve_memory} to drop
-    registered caches before building a degraded result.
+    Guards form a tree through [?parent]: a guard stops when it or any
+    ancestor has tripped, so one {!trip} on a parent reaches every
+    guard below it.  Each domain polls a guard of its own ({!poll}
+    writes a countdown), created below the shared one.
 
-    Telemetry: [guard.deadline.trips] and [guard.mem.trips] count the
-    budgets that fired; [fault.injected] counts injected faults. *)
+    Trips are sticky: the first reason wins and every later {!poll}
+    re-raises it.  As a last resort, callers that catch a genuine
+    [Out_of_memory] can call {!relieve_memory} to drop registered caches
+    before building a degraded result.
+
+    Telemetry: [guard.deadline.trips], [guard.mem.trips] and
+    [guard.cancel.trips] count the guards that tripped for each reason
+    (each trip also emits a [guard.trip] instant carrying it);
+    [fault.injected] counts injected faults. *)
 
 (** Why a run stopped. *)
 type stop_reason =
@@ -31,7 +38,9 @@ type stop_reason =
   | State_budget  (** The [max_states] budget was hit. *)
   | Deadline  (** The wall-clock deadline expired. *)
   | Memory  (** The soft memory budget was exceeded. *)
-  | Cancelled  (** A [Par.Cancel] token was tripped (race loser). *)
+  | Cancelled
+      (** The guard or an ancestor was tripped [Cancelled] (race loser,
+          service drain). *)
   | Crashed of string  (** The engine died with the given exception. *)
 
 val string_of_stop : stop_reason -> string
@@ -47,52 +56,55 @@ val describe_stop : stop_reason -> string
     exceeded", ...). *)
 
 exception Interrupted of stop_reason
-(** Raised by {!poll} when a budget has tripped.  Engines catch this
+(** Raised by {!poll} when a guard has tripped.  Engines catch this
     around their step loop and return a partial result carrying the
-    reason; it never escapes an engine entry point. *)
+    reason; only a witness walk ({!check_cancelled}) lets it escape. *)
 
 type t
 
-val create : ?deadline_s:float -> ?mem_mb:int -> unit -> t
-(** [create ~deadline_s ~mem_mb ()] arms a guard [deadline_s] seconds
-    from now with a soft heap budget of [mem_mb] megabytes.  Omitted
-    budgets never trip.  The memory budget installs a [Gc] alarm
-    (per-domain: create the guard in the domain that runs the engine);
-    {!dispose} removes it. *)
+val create : ?parent:t -> ?deadline_s:float -> ?mem_mb:int -> unit -> t
+(** [create ~parent ~deadline_s ~mem_mb ()] arms a guard [deadline_s]
+    seconds from now with a soft heap budget of [mem_mb] megabytes,
+    below [parent].  Omitted budgets never trip; the guard stops when
+    it or any ancestor trips, and polling it also checks its
+    ancestors' budgets. *)
 
 val poll : t -> unit
-(** Cheap check for the hottest loops: re-raise a recorded trip (one
-    atomic load), and every 64 calls read the clock and heap size.
-    Raises {!Interrupted}. *)
+(** Cheap check for the hottest loops: re-raise a recorded trip of the
+    guard or an ancestor (one atomic load per level), and every 64
+    calls read the clock and heap size.  Raises {!Interrupted}.  Poll a
+    guard from one domain at a time. *)
 
 val poll_now : t -> unit
 (** {!poll} without the rate limit — for coarse loops (one BDD
     fixpoint iteration, one GPN world expansion) whose step already
-    dwarfs a clock read. *)
+    dwarfs a clock read.  Safe to call from several domains on one
+    guard. *)
 
-val check : ?cancel:Par.Cancel.t -> ?guard:t -> unit -> unit
-(** The engine step-loop check: poll the cancellation token (raising
-    [Par.Cancel.Cancelled]) then {!poll} the guard (raising
-    {!Interrupted}).  Either may be absent. *)
+val check : ?guard:t -> unit -> unit
+(** The engine step-loop check: {!poll} the guard, if any. *)
 
-val check_now : ?cancel:Par.Cancel.t -> ?guard:t -> unit -> unit
+val check_now : ?guard:t -> unit -> unit
 (** {!check} with {!poll_now} semantics. *)
 
+val check_cancelled : ?guard:t -> unit -> unit
+(** The witness-walk check: raise [Interrupted Cancelled] iff the guard
+    or an ancestor was tripped [Cancelled].  A deadline or memory trip
+    does not stop a walk, so a violation found before the budget ran
+    out still gets its witness. *)
+
 val tripped : t -> stop_reason option
-(** The recorded trip, if any (without raising). *)
+(** The recorded trip of the guard, else of its nearest tripped
+    ancestor, if any (without raising). *)
 
 val stop : t -> stop_reason
-(** {!tripped}, with [Completed] when the guard never tripped. *)
+(** {!tripped}, with [Completed] when neither the guard nor an
+    ancestor tripped. *)
 
 val trip : t -> stop_reason -> unit
-(** Record [reason] if the guard has not tripped yet (first one
-    wins).  Used by the portfolio to tie a guard to a cancel token. *)
-
-val dispose : t -> unit
-(** Remove the [Gc] alarm, if any.  Idempotent. *)
-
-val with_guard : ?deadline_s:float -> ?mem_mb:int -> (t -> 'a) -> 'a
-(** [create], run, [dispose] (also on exceptions). *)
+(** Record [reason] if the guard has not tripped yet (first one wins;
+    idempotent, domain-safe).  [trip g Cancelled] is how a run is
+    cancelled: every guard below [g] stops at its next poll. *)
 
 val on_memory_pressure : (unit -> unit) -> unit
 (** Register a hook that drops a recoverable cache (e.g. the world-set
@@ -121,7 +133,7 @@ val relieve_memory : unit -> unit
     Injected faults are the resource failures the guard layer must
     absorb: a simulated allocation failure ([Out_of_memory]), a
     scheduling delay, or a cancellation storm
-    ([Par.Cancel.Cancelled]). *)
+    ([Interrupted Cancelled]). *)
 module Fault : sig
   type kind = Oom | Delay | Cancel
 

@@ -26,16 +26,16 @@ let timed f =
 
 (* Witness reconstruction for the explicit engines: walk the predecessor
    map back from the first retained deadlocked marking. *)
-let explicit_witness ?cancel (r : Petri.Reachability.result) =
+let explicit_witness ?guard (r : Petri.Reachability.result) =
   match r.deadlocks with
   | [] -> None
   | m :: _ ->
       Some
         (Gpo_obs.Span.time "reach.witness" (fun () ->
-             Petri.Reachability.trace_to ?cancel r m))
+             Petri.Reachability.trace_to ?guard r m))
 
 let run ?(max_states = 5_000_000) ?(witness = false) ?(gpo_scan = true)
-    ?(reduce = false) ?cancel ?guard ?(jobs = 1) kind net =
+    ?(reduce = false) ?guard ?(jobs = 1) kind net =
   Gpo_obs.Span.time ("engine." ^ name kind) @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let attempt () =
@@ -55,7 +55,7 @@ let run ?(max_states = 5_000_000) ?(witness = false) ?(gpo_scan = true)
         in
         let r, time_s =
           timed (fun () ->
-              explore ~max_states ~traces:witness ?cancel ?guard net)
+              explore ~max_states ~traces:witness ?guard net)
         in
         {
           kind;
@@ -64,11 +64,11 @@ let run ?(max_states = 5_000_000) ?(witness = false) ?(gpo_scan = true)
           deadlock = r.deadlock_count > 0;
           time_s;
           stop = r.stop;
-          witness = (if witness then explicit_witness ?cancel r else None);
+          witness = (if witness then explicit_witness ?guard r else None);
         }
     | Symbolic ->
         let r, time_s =
-          timed (fun () -> Bddkit.Symbolic.analyse ~witness ?cancel ?guard net)
+          timed (fun () -> Bddkit.Symbolic.analyse ~witness ?guard net)
         in
         {
           kind;
@@ -86,12 +86,11 @@ let run ?(max_states = 5_000_000) ?(witness = false) ?(gpo_scan = true)
            some. *)
         let r, time_s =
           timed (fun () ->
-              Gpn.Explorer.analyse ~scan:gpo_scan ~max_states ~jobs ?cancel
-                ?guard net)
+              Gpn.Explorer.analyse ~scan:gpo_scan ~max_states ~jobs ?guard net)
         in
         let trace =
           match r.Gpn.Explorer.deadlocks with
-          | w :: _ when witness -> Some (Gpn.Explorer.deadlock_trace ?cancel r w)
+          | w :: _ when witness -> Some (Gpn.Explorer.deadlock_trace ?guard r w)
           | _ -> None
         in
         {
@@ -128,13 +127,13 @@ let run ?(max_states = 5_000_000) ?(witness = false) ?(gpo_scan = true)
       (* Last-ditch recovery: the allocator failed before (or without)
          a soft budget tripping.  Drop the recoverable caches so the
          degraded outcome can be built, and report the run as stopped
-         by memory — never as a verdict.  Cancellation, by contrast,
-         keeps unwinding: the portfolio owns that contract. *)
+         by memory — never as a verdict. *)
       Guard.relieve_memory ();
       degraded Guard.Memory
   | exception Guard.Interrupted reason ->
-      (* A guard trip that escaped an engine loop (e.g. during witness
-         reconstruction): same degradation, with the recorded reason. *)
+      (* A trip that escaped an engine loop — cancellation during
+         witness reconstruction, or an injected fault: same
+         degradation, with the recorded reason. *)
       degraded reason
 
 let pp_outcome ppf o =

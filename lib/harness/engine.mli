@@ -46,7 +46,7 @@ val name : kind -> string
 
 val run :
   ?max_states:int -> ?witness:bool -> ?gpo_scan:bool -> ?reduce:bool ->
-  ?cancel:Par.Cancel.t -> ?guard:Guard.t -> ?jobs:int ->
+  ?guard:Guard.t -> ?jobs:int ->
   kind -> Petri.Net.t -> outcome
 (** Run one engine.  [max_states] (default [5_000_000]) bounds the
     explicit engines and GPO; the symbolic engine ignores it.
@@ -54,12 +54,13 @@ val run :
     a counterexample firing sequence (costs predecessor recording /
     frontier-layer retention during the run).
 
-    [cancel] is a cooperative cancellation token polled in every
-    engine's step loop; a set token unwinds the run with
-    [Par.Cancel.Cancelled] (used by {!Portfolio} to stop the losers).
-    [guard] is a resource guard polled at the same points: a tripped
-    deadline or memory budget ends the run early with a partial
-    outcome whose [stop] carries the reason.  A genuine
+    [guard] is the run's stop signal, polled in every engine's step
+    loop: a trip — deadline, memory budget, or cancellation by
+    {!Guard.trip} on the guard or an ancestor (how {!Portfolio} stops
+    its losers) — ends the run early with a partial outcome whose
+    [stop] carries the reason; [run] raises for none of them.  Witness
+    reconstruction stops only for cancellation, and then degrades the
+    outcome to [stop = Cancelled] with no verdict.  A genuine
     [Out_of_memory] — the allocator dying before any soft budget
     tripped — is caught here as well: the registered caches are
     dropped ({!Guard.relieve_memory}) and the run degrades to an

@@ -8,17 +8,18 @@
    a non-answer, so a racer that runs out of budget keeps losing to
    slower engines that finish.
 
-   Cancellation is cooperative: all entrants share one {!Par.Cancel}
-   token, checked in every engine's step loop, and the first entrant to
-   post a conclusive outcome sets it.  Losers unwind with
-   [Par.Cancel.Cancelled] inside their own domain; the coordinator
-   joins every domain before reporting, so no engine outlives the race.
+   Cancellation is a guard trip: every entrant polls a guard of its
+   own, created below one race guard, and the first entrant to post a
+   conclusive outcome trips the race guard [Cancelled].  Losers stop at
+   their next poll with a partial outcome stopped [Cancelled]; the
+   race runs on a [Par.Pool], which returns only when every entrant
+   has, so no engine outlives the race.  The race guard sits below the
+   caller's guard, so cancelling the caller cancels the whole race.
 
-   Resource governance: [deadline_s]/[mem_mb] arm a per-entrant
-   {!Guard.t}, created {e inside} each racing domain (Gc alarms are
-   per-domain).  An entrant stopped by its guard reports the typed
-   reason instead of hanging the race, and an all-stopped race reports
-   why each entrant stopped.
+   Resource governance: [deadline_s]/[mem_mb] arm each entrant's own
+   guard.  An entrant stopped by its guard reports the typed reason
+   instead of hanging the race, and an all-stopped race reports why
+   each entrant stopped.
 
    Telemetry: aggregate counters and gauges accumulate globally from
    every domain (they are atomic), so engine counters reflect all the
@@ -34,7 +35,6 @@ let c_cancelled = Gpo_obs.Counter.make "portfolio.cancelled_losers"
 
 type entry =
   | Done of Engine.outcome * Gpo_obs.event list
-  | Cancelled
   | Failed of exn * Printexc.raw_backtrace
 
 type report = {
@@ -49,15 +49,13 @@ let conclusive (o : Engine.outcome) = o.deadlock || o.stop = Guard.Completed
 
 let stop_of = function
   | Done (o, _) -> o.Engine.stop
-  | Cancelled -> Guard.Cancelled
   | Failed (e, _) -> Guard.Crashed (Printexc.to_string e)
 
-let fate entry =
-  match entry with
+let fate = function
   | Done (o, _) when conclusive o -> "conclusive"
-  | Done _ | Cancelled | Failed _ -> Guard.string_of_stop (stop_of entry)
+  | entry -> Guard.string_of_stop (stop_of entry)
 
-let run ?max_states ?witness ?(reduce = false) ?jobs ?deadline_s
+let run ?guard ?max_states ?witness ?(reduce = false) ?jobs ?deadline_s
     ?mem_mb ?(engines = [ Engine.Stubborn; Engine.Symbolic; Engine.Gpo ]) net =
   if engines = [] then invalid_arg "Portfolio.run: empty engine list";
   (* Reduce once, up front, on the coordinator domain: every entrant
@@ -70,45 +68,42 @@ let run ?max_states ?witness ?(reduce = false) ?jobs ?deadline_s
   Gpo_obs.Counter.incr c_races;
   Gpo_obs.Counter.add c_entrants (List.length engines);
   Gpo_obs.Counter.touch c_cancelled;
-  let token = Par.Cancel.create () in
+  let race = Guard.create ?parent:guard () in
   let winner : (Engine.kind * entry) option Atomic.t = Atomic.make None in
-  let race kind () =
+  let run_entrant (kind, guard) =
     let entry =
       match
         Gpo_obs.Scoped.capture (fun () ->
-            Guard.with_guard ?deadline_s ?mem_mb (fun guard ->
-                Engine.run ?max_states ?witness ?jobs ~cancel:token
-                  ~guard kind net))
+            Engine.run ?max_states ?witness ?jobs ~guard kind net)
       with
       | o, events -> Done (o, events)
-      | exception Par.Cancel.Cancelled -> Cancelled
       | exception e -> Failed (e, Printexc.get_raw_backtrace ())
     in
     (match entry with
     | Done (o, _) when conclusive o ->
         if Atomic.compare_and_set winner None (Some (kind, entry)) then
-          Par.Cancel.cancel token
+          Guard.trip race Guard.Cancelled
     | _ -> ());
     (kind, entry)
   in
+  let entrants =
+    List.map
+      (fun kind -> (kind, Guard.create ~parent:race ?deadline_s ?mem_mb ()))
+      engines
+  in
   let entries =
-    match engines with
-    | [ only ] -> [ race only () ]
-    | _ ->
-        (* One domain per engine; the coordinator joins them all, so
-           every loser has fully unwound before we read the results. *)
-        let domains = List.map (fun k -> Domain.spawn (race k)) engines in
-        List.map Domain.join domains
+    Par.Pool.with_pool ~jobs:(List.length engines) (fun pool ->
+        Par.Pool.map pool run_entrant entrants)
   in
   let cancelled_losers =
-    List.length (List.filter (fun (_, e) -> e = Cancelled) entries)
+    List.length
+      (List.filter (fun (_, e) -> stop_of e = Guard.Cancelled) entries)
   in
   Gpo_obs.Counter.add c_cancelled cancelled_losers;
   let stops = List.map (fun (kind, entry) -> (kind, stop_of entry)) entries in
   (* The CAS winner is the first conclusive arrival.  With none (every
-     entrant stopped short or failed), fall back to the completed
-     outcome that got furthest, and failing that re-raise the first
-     error. *)
+     entrant stopped short or failed), fall back to the outcome that
+     got furthest, and failing that re-raise the first error. *)
   let chosen =
     match Atomic.get winner with
     | Some (kind, Done (o, events)) -> Some (kind, o, events)
@@ -126,16 +121,10 @@ let run ?max_states ?witness ?(reduce = false) ?jobs ?deadline_s
   in
   match chosen with
   | None -> (
-      match
-        List.find_map
-          (function _, Failed (e, bt) -> Some (e, bt) | _ -> None)
-          entries
-      with
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None ->
-          (* Only reachable if an external token cancelled the whole
-             race before any entrant concluded. *)
-          raise Par.Cancel.Cancelled)
+      (* No outcome at all: every entrant failed. *)
+      match entries with
+      | (_, Failed (e, bt)) :: _ -> Printexc.raise_with_backtrace e bt
+      | _ -> assert false)
   | Some (winner_kind, outcome, events) ->
       let outcome =
         match reduction with

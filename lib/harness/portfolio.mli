@@ -1,11 +1,13 @@
 (** Racing engine portfolio.
 
     Runs several engines on the same net concurrently, one domain per
-    engine, and returns the first {e conclusive} verdict: a found
-    deadlock, or a completed (non-truncated) deadlock-free analysis.  A
-    truncated deadlock-free outcome is inconclusive and keeps racing's
-    losers alive; the winner's cancellation token stops every other
-    entrant cooperatively (each engine polls it in its step loop).
+    engine on a {!Par.Pool} (the caller runs one entrant itself), and
+    returns the first {e conclusive} verdict: a found deadlock, or a
+    completed (non-truncated) deadlock-free analysis.  A truncated
+    deadlock-free outcome is inconclusive and keeps racing's losers
+    alive.  Each entrant polls a guard of its own below one race guard;
+    the winner trips the race guard [Cancelled], which stops every
+    other entrant at its next poll.
 
     The winning outcome is exactly what {!Engine.run} would have
     produced — including the certified witness when [witness] was
@@ -21,16 +23,17 @@ type report = {
       (** [false] only when every entrant truncated: [outcome] is then
           the furthest-progressed truncated result (still exit 2). *)
   cancelled_losers : int;
-      (** Entrants that unwound via [Par.Cancel.Cancelled] — the
-          cancellation handshake observed, which the tests assert. *)
+      (** Entrants whose run stopped [Cancelled] — the losers the
+          winner's trip stopped early, which the tests assert. *)
   stops : (Engine.kind * Guard.stop_reason) list;
-      (** Why each entrant stopped, in join order: [Completed] for a
+      (** Why each entrant stopped, in [raced] order: [Completed] for a
           finished analysis, [State_budget]/[Deadline]/[Memory] for a
           budget, [Cancelled] for a race loser, [Crashed _] for an
           entrant that died.  An all-failed race is explained here. *)
 }
 
 val run :
+  ?guard:Guard.t ->
   ?max_states:int ->
   ?witness:bool ->
   ?reduce:bool ->
@@ -41,7 +44,10 @@ val run :
   Petri.Net.t ->
   report
 (** Race [engines] (default [Stubborn; Symbolic; Gpo] — the three
-    reduced engines; add [Full] explicitly if wanted) on [net].
+    reduced engines; add [Full] explicitly if wanted) on [net].  The
+    race guard sits below [guard]: tripping [guard] [Cancelled] stops
+    every entrant, and the race then reports the furthest cancelled
+    outcome.  [deadline_s] and [mem_mb] arm each entrant's own guard.
     [max_states] and [witness] are forwarded to every {!Engine.run}
     (GPO races in its complete configuration); [jobs] sets the GPO
     entrant's wave workers inside its own race lane.  [reduce] applies

@@ -87,25 +87,17 @@ let key ~witness ~reduce budgets sel q =
     ~digest:(Petri.Net.digest q.target) ~engine:(selection_name sel)
     ~max_states:budgets.max_states ~witness ~gpo_scan:true ~reduce ()
 
-let run ?cancel ?(on_race = ignore) ~witness ~reduce budgets sel q =
+let run ?guard ?(on_race = ignore) ~witness ~reduce budgets sel q =
   let { max_states; jobs; timeout_s = deadline_s; mem_mb } = budgets in
   let jobs = Par.Pool.resolve_jobs jobs in
   match sel with
-  | Single kind -> (
-      let body guard =
-        Engine.run ~max_states ~witness ~reduce ~jobs ?cancel ?guard kind
-          q.target
-      in
-      match (deadline_s, mem_mb) with
-      | None, None -> body None
-      | _ -> Guard.with_guard ?deadline_s ?mem_mb (fun g -> body (Some g)))
+  | Single kind ->
+      let guard = Guard.create ?parent:guard ?deadline_s ?mem_mb () in
+      Engine.run ~max_states ~witness ~reduce ~jobs ~guard kind q.target
   | Portfolio ->
-      (* The portfolio owns its cancel tokens (to stop the race losers)
-         and arms one guard per entrant, inside each racing domain (Gc
-         alarms are per domain); [cancel] does not reach it. *)
       let r =
-        Portfolio.run ~max_states ~witness ~reduce ~jobs ?deadline_s ?mem_mb
-          q.target
+        Portfolio.run ?guard ~max_states ~witness ~reduce ~jobs ?deadline_s
+          ?mem_mb q.target
       in
       on_race r;
       r.Portfolio.outcome

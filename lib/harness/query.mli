@@ -66,7 +66,7 @@ val key :
     it. *)
 
 val run :
-  ?cancel:Par.Cancel.t ->
+  ?guard:Guard.t ->
   ?on_race:(Portfolio.report -> unit) ->
   witness:bool ->
   reduce:bool ->
@@ -75,9 +75,11 @@ val run :
   t ->
   Engine.outcome
 (** Run the selection on [target].  A single engine runs under a guard
-    armed with the deadline and memory budgets (none when both are
-    absent), polling [cancel]; the portfolio arms one guard per entrant
-    and hands its report to [on_race].  GPO always runs with the
+    of its own, armed with the deadline and memory budgets and created
+    below [guard]; the portfolio races below [guard], arms each
+    entrant's guard with the budgets, and hands its report to
+    [on_race].  Tripping [guard] [Cancelled] stops the run, which then
+    returns with [stop = Cancelled].  GPO always runs with the
     deviation scan — the complete configuration. *)
 
 val certify : t -> Engine.outcome -> Certify.verdict

@@ -1219,8 +1219,6 @@ module Trace = struct
         ("displayTimeUnit", Json.String "ms");
       ]
 
-  let collecting_sink () = memory_sink ()
-
   let write_file path events =
     let oc = open_out path in
     Fun.protect

@@ -13,8 +13,7 @@
     - {b Events} (span begin/end, periodic progress samples, metadata,
       final totals) stream to the installed {!type-sink}.  With no sink
       installed ({!enabled}[ () = false]) the event half is off: spans
-      cost one branch, samples cost one branch, nothing allocates —
-      the overhead budget checked by the micro-bench.
+      cost one branch, samples cost one branch, nothing allocates.
 
     Sinks are pluggable: {!null_sink} drops every event (for overhead
     measurements with the event half on), {!jsonl_sink} writes one
@@ -320,10 +319,6 @@ module Trace : sig
   val json_of_events : event list -> Json.t
   (** The full trace object:
       [{"traceEvents":[…],"displayTimeUnit":"ms"}]. *)
-
-  val collecting_sink : unit -> sink * (unit -> event list)
-  (** A sink buffering events for later rendering (alias of
-      {!memory_sink}). *)
 
   val write_file : string -> event list -> unit
   (** Render and write a trace file at [path]. *)

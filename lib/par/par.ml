@@ -1,44 +1,12 @@
-(* Multicore execution primitives for the verification engines: a
-   cooperative cancellation token and a fixed pool of OCaml 5 domains.
+(* Multicore execution for the verification engines: a fixed pool of
+   OCaml 5 domains.
 
    The engines themselves stay written in direct style; the parallel
    drivers (the GPO explorer's waves, Harness.Portfolio, the service
-   scheduler) build on these two pieces.  Everything here is
-   domain-safe; the only global state is the telemetry counters, which
-   are atomic. *)
+   scheduler) build on the pool.  Everything here is domain-safe; the
+   only global state is the telemetry counter, which is atomic. *)
 
-(* Telemetry: how often cancellation was requested and how often a
-   running engine actually observed a request and stopped.  The
-   portfolio tests assert on [par.cancel.observed] to prove the losers
-   were cancelled rather than left to finish. *)
-let c_cancel_requests = Gpo_obs.Counter.make "par.cancel.requests"
-let c_cancel_observed = Gpo_obs.Counter.make "par.cancel.observed"
 let c_tasks = Gpo_obs.Counter.make "par.pool.tasks"
-
-module Cancel = struct
-  type t = bool Atomic.t
-
-  exception Cancelled
-
-  let create () = Atomic.make false
-
-  let cancel t =
-    if not (Atomic.exchange t true) then begin
-      Gpo_obs.Counter.incr c_cancel_requests;
-      Gpo_obs.instant "cancel.requested" []
-    end
-
-  let is_set t = Atomic.get t
-
-  let check t =
-    if Atomic.get t then begin
-      Gpo_obs.Counter.incr c_cancel_observed;
-      Gpo_obs.instant "cancel.observed" [];
-      raise Cancelled
-    end
-
-  let check_opt = function None -> () | Some t -> check t
-end
 
 module Pool = struct
   type t = {

@@ -1,45 +1,15 @@
-(** Multicore execution primitives (OCaml 5 domains).
+(** Multicore execution (OCaml 5 domains).
 
-    Two building blocks for the parallel drivers:
+    {!Pool} is a fixed pool of worker domains, sized by
+    [Domain.recommended_domain_count] unless told otherwise.  The
+    calling domain participates in every {!Pool.run}, so a pool of
+    size [n] really computes with [n] domains while only [n - 1] are
+    spawned.  The GPO explorer runs each wave of restart runs on one,
+    the portfolio its racing engines, and the service scheduler fans a
+    batch's jobs out over another.  Runs are stopped through their
+    [Guard.t], which the pool knows nothing about.
 
-    - {!Cancel} — a cooperative cancellation token.  Engines poll it in
-      their step loops ({!Cancel.check}) and unwind with
-      {!Cancel.Cancelled} when some other domain has called
-      {!Cancel.cancel}; the portfolio uses this to stop the losers the
-      moment a winner produces a conclusive verdict.
-    - {!Pool} — a fixed pool of worker domains, sized by
-      [Domain.recommended_domain_count] unless told otherwise.  The
-      calling domain participates in every {!Pool.run}, so a pool of
-      size [n] really computes with [n] domains while only [n - 1] are
-      spawned.  The GPO explorer runs each wave of restart runs on
-      one; the service scheduler fans a batch's jobs out over another.
-
-    Telemetry: [par.cancel.requests] / [par.cancel.observed] count
-    cancellation handshakes (the tests use the latter to prove losers
-    actually stopped) and [par.pool.tasks] the tasks executed by
-    pools. *)
-
-(** Cooperative cancellation. *)
-module Cancel : sig
-  type t
-
-  exception Cancelled
-
-  val create : unit -> t
-
-  val cancel : t -> unit
-  (** Request cancellation (idempotent, domain-safe). *)
-
-  val is_set : t -> bool
-
-  val check : t -> unit
-  (** Raise {!Cancelled} iff cancellation was requested.  Engines call
-      this once per step — cheap enough for any hot loop (one atomic
-      load). *)
-
-  val check_opt : t option -> unit
-  (** {!check} through an optional token; [None] never cancels. *)
-end
+    Telemetry: [par.pool.tasks] counts the tasks executed by pools. *)
 
 (** A fixed pool of worker domains. *)
 module Pool : sig

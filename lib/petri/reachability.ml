@@ -47,7 +47,7 @@ let report_load_factor table =
     /. float_of_int (max 1 stats.Hashtbl.num_buckets))
 
 let explore ?(strategy = full) ?(max_states = 10_000_000) ?(max_deadlocks = 16)
-    ?(traces = false) ?cancel ?guard (net : Net.t) =
+    ?(traces = false) ?guard (net : Net.t) =
   let size_hint = table_size_hint net max_states in
   let visited = Marking_table.create size_hint in
   let predecessor = if traces then Some (Marking_table.create size_hint) else None in
@@ -70,7 +70,7 @@ let explore ?(strategy = full) ?(max_states = 10_000_000) ?(max_deadlocks = 16)
   enqueue net.initial;
   (try
      while not (Queue.is_empty queue) do
-       Guard.check ?cancel ?guard ();
+       Guard.check ?guard ();
        Guard.Fault.probe "reach.step";
        let m = Queue.pop queue in
        Gpo_obs.Progress.sample "reach" (fun () ->
@@ -126,13 +126,13 @@ let explore ?(strategy = full) ?(max_states = 10_000_000) ?(max_deadlocks = 16)
     visited;
   }
 
-let trace_to ?cancel result m =
+let trace_to ?guard result m =
   match result.predecessor with
   | None -> invalid_arg "Reachability.trace_to: explore was run without ~traces:true"
   | Some table ->
       if not (Marking_table.mem result.visited m) then raise Not_found;
       let rec walk m acc =
-        Par.Cancel.check_opt cancel;
+        Guard.check_cancelled ?guard ();
         Guard.Fault.probe "reach.witness";
         match Marking_table.find_opt table m with
         | None -> acc

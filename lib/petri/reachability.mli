@@ -47,7 +47,6 @@ val explore :
   ?max_states:int ->
   ?max_deadlocks:int ->
   ?traces:bool ->
-  ?cancel:Par.Cancel.t ->
   ?guard:Guard.t ->
   Net.t ->
   result
@@ -56,19 +55,20 @@ val explore :
     [10_000_000]) bounds the number of visited states, recording
     [State_budget] when exceeded; [max_deadlocks] (default [16]) bounds
     the retained deadlock witnesses; [traces] (default [false]) records
-    predecessors for counterexample extraction.  [cancel] is polled
-    once per expanded marking; a set token unwinds with
-    [Par.Cancel.Cancelled].  [guard] is polled at the same points; a
-    tripped deadline or memory budget ends the run early with the
-    partial counts and [stop] carrying the reason. *)
+    predecessors for counterexample extraction.  [guard] is polled
+    once per expanded marking; a trip (deadline, memory budget,
+    cancellation) ends the run early with the partial counts and
+    [stop] carrying the reason. *)
 
-val trace_to : ?cancel:Par.Cancel.t -> result -> Bitset.t -> Net.transition list
+val trace_to : ?guard:Guard.t -> result -> Bitset.t -> Net.transition list
 (** [trace_to result m] reconstructs a firing sequence from the initial
     marking to [m].  Requires [explore ~traces:true]; raises
     [Invalid_argument] otherwise and [Not_found] if [m] was not
-    visited.  [cancel] is polled at every walk-back step so a race
-    loser cannot linger in witness reconstruction; a set token unwinds
-    with [Par.Cancel.Cancelled] before any partial trace escapes. *)
+    visited.  [guard] is checked for cancellation only
+    ({!Guard.check_cancelled}) at every walk-back step, so a race loser
+    cannot linger in witness reconstruction: it raises
+    [Guard.Interrupted Cancelled] before any partial trace escapes,
+    while a deadline or memory trip lets the walk finish. *)
 
 val deadlock_free : result -> bool
 (** [true] iff no deadlocked marking was visited (meaningful only when

@@ -73,7 +73,7 @@ let compute conflict m =
 
 let strategy conflict : Reachability.strategy = fun _net m -> compute conflict m
 
-let explore ?max_states ?max_deadlocks ?traces ?cancel ?guard net =
+let explore ?max_states ?max_deadlocks ?traces ?guard net =
   let conflict = Conflict.analyse net in
   Reachability.explore ~strategy:(strategy conflict) ?max_states
-    ?max_deadlocks ?traces ?cancel ?guard net
+    ?max_deadlocks ?traces ?guard net

@@ -30,7 +30,6 @@ val explore :
   ?max_states:int ->
   ?max_deadlocks:int ->
   ?traces:bool ->
-  ?cancel:Par.Cancel.t ->
   ?guard:Guard.t ->
   Net.t ->
   Reachability.result

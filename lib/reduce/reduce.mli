@@ -61,8 +61,8 @@
     ["reduce.rule"].  An injected allocation failure (or a genuine
     [Out_of_memory]) degrades the whole pipeline to the {e identity}
     reduction — the caller gets the unreduced net back, never a
-    half-applied mapping; injected cancellation unwinds with
-    [Par.Cancel.Cancelled] as everywhere else. *)
+    half-applied mapping; injected cancellation raises
+    [Guard.Interrupted Cancelled]. *)
 
 type rule =
   | Dead_transition

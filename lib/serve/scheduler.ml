@@ -10,11 +10,12 @@ type t = {
      batch gets in; this lock only decides *when* it runs.  A rejected
      batch never reaches it, so saturation answers immediately. *)
   run_lock : Mutex.t;
-  (* Tripped by a second drain signal: every in-flight single-engine
-     run polls it from its step loop and unwinds as [Cancelled], so a
-     hard drain returns within one poll interval instead of finishing
-     the batch.  One-way — the scheduler is shutting down. *)
-  drain : Par.Cancel.t;
+  (* The parent of every job's guard, tripped [Cancelled] by a second
+     drain signal: every in-flight run, portfolio entrants included,
+     stops at its next poll, so a hard drain returns within one poll
+     interval instead of finishing the batch.  One-way — the scheduler
+     is shutting down. *)
+  drain : Guard.t;
 }
 
 let c_jobs = Gpo_obs.Counter.make "serve.jobs"
@@ -34,13 +35,13 @@ let create ?(jobs = 1) ?(queue_limit = 64) () =
     queue_limit;
     depth = Atomic.make 0;
     run_lock = Mutex.create ();
-    drain = Par.Cancel.create ();
+    drain = Guard.create ();
   }
 
 let pool_jobs t = t.pool_jobs
 let queue_limit t = t.queue_limit
 let depth t = Atomic.get t.depth
-let cancel_inflight t = Par.Cancel.cancel t.drain
+let cancel_inflight t = Guard.trip t.drain Guard.Cancelled
 let shutdown t = Par.Pool.shutdown t.pool
 
 (* ------------------------------------------------------------------ *)
@@ -119,18 +120,21 @@ let failed_result id msg =
    the per-request metrics; failures stay inside this job's result.
    Faulted runs store nothing — the cache only ever holds [Completed]
    outcomes. *)
-let execute ?cancel (p : prepared) =
+let execute ~drain (p : prepared) =
   let run () =
-    let outcome =
-      Q.run ?cancel ~witness:p.job.witness ~reduce:p.job.reduce p.budgets p.sel
-        p.query
-    in
-    ignore
-      (Harness.Result_cache.store
-         ~net_text:(Petri.Parser.to_string p.query.target)
-         p.key outcome
-        : bool);
-    ok_result p ~cached:false ~certified:(certification p outcome) outcome
+    match
+      Q.run ~guard:drain ~witness:p.job.witness ~reduce:p.job.reduce p.budgets
+        p.sel p.query
+    with
+    | { Harness.Engine.stop = Guard.Cancelled; _ } ->
+        failed_result p.job.id "cancelled"
+    | outcome ->
+        ignore
+          (Harness.Result_cache.store
+             ~net_text:(Petri.Parser.to_string p.query.target)
+             p.key outcome
+            : bool);
+        ok_result p ~cached:false ~certified:(certification p outcome) outcome
   in
   let result, events =
     Gpo_obs.Scoped.capture (fun () ->
@@ -149,10 +153,9 @@ let execute ?cancel (p : prepared) =
             | Out_of_memory ->
                 Guard.relieve_memory ();
                 failed_result p.job.id "out of memory"
-            | Par.Cancel.Cancelled -> failed_result p.job.id "cancelled"
             | Guard.Interrupted reason ->
-                failed_result p.job.id
-                  ("interrupted: " ^ Guard.describe_stop reason)
+                (* An injected cancellation outside any engine loop. *)
+                failed_result p.job.id (Guard.string_of_stop reason)
             | Failure msg -> failed_result p.job.id msg))
   in
   ({ result with Protocol.metrics = Gpo_obs.summarize_events events }, events)
@@ -225,7 +228,7 @@ let submit t (batch : Protocol.job list) =
               in
               let executed =
                 Par.Pool.map t.pool
-                  (fun (_, p) -> execute ~cancel:t.drain p)
+                  (fun (_, p) -> execute ~drain:t.drain p)
                   uniques
               in
               (* Replay the workers' captured events to the shared sink

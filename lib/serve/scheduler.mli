@@ -25,7 +25,7 @@
     flagged [deduped] (counted by [serve.batch.deduped]).
 
     {b Isolation.}  Each job runs under its own {!Guard} (armed with
-    the job's [timeout_s]/[mem_mb] in the worker domain that runs it),
+    the job's [timeout_s]/[mem_mb], below the scheduler's drain guard),
     its telemetry is captured with {!Gpo_obs.Scoped} and attached to
     the result as a JSON summary, and a failure — bad input rejected by
     {!Harness.Query.prepare} (parse error, unknown model, place or
@@ -54,10 +54,11 @@ val submit : t -> Protocol.job list -> Protocol.response
     failures — they come back as [Failed] results. *)
 
 val cancel_inflight : t -> unit
-(** Trip the scheduler-wide drain token: every in-flight single-engine
-    run unwinds as [Cancelled] at its next step-loop poll, and the
-    batch returns with those jobs [Failed] (never cached).  One-way —
-    only for the hard phase of a graceful drain. *)
+(** Trip the scheduler-wide drain guard [Cancelled]: every in-flight
+    run — single engine or portfolio — stops at its next step-loop
+    poll, and the batch returns with those jobs [Failed "cancelled"]
+    (never cached).  Cache hits are still served.  One-way — only for
+    the hard phase of a graceful drain. *)
 
 val shutdown : t -> unit
 (** Join the worker pool.  The scheduler must be idle. *)

@@ -4,7 +4,7 @@
    contract:
 
    - an engine may stop early and report an inconclusive (non-Completed)
-     partial result, or unwind with [Par.Cancel.Cancelled];
+     partial result — a cancelled run returns [stop = Cancelled];
    - a run that claims [Completed] really covered its state space, so
      on a deadlocking net a clean "holds" out of a completed run is a
      bug (an unearned verdict is precisely what governance must never
@@ -32,52 +32,47 @@ let fault_seeds () =
 (* One engine run under faults.  [expect_deadlock] is the ground truth
    for the net (established fault-free by the conformance suite). *)
 let chaos_run ~label ~expect_deadlock net seed kind =
-  match
+  let o =
     Guard.Fault.with_faults ~rate:0.02 seed (fun () ->
         E.run ~max_states:200_000 ~witness:true ~gpo_scan:true kind net)
-  with
-  | exception Par.Cancel.Cancelled ->
-      (* A cancellation storm unwound the whole run: acceptable, the
-         caller (portfolio, CLI) owns that contract. *)
-      ()
-  | o ->
-      if o.E.stop = Guard.Completed && not o.E.deadlock then begin
-        (* A clean "holds" claims exhaustive coverage.  Injected faults
-           must never fabricate that on a net that does deadlock. *)
-        if expect_deadlock then
-          Failure_dump.failf ~label net
-            "%s reported a clean completed run on a deadlocking net \
-             (seed %d)"
-            (E.name kind) seed
-      end;
-      if o.E.deadlock then begin
-        if not expect_deadlock then
-          Failure_dump.failf ?trace:o.E.witness ~label net
-            "%s reported a deadlock on a deadlock-free net (seed %d)"
-            (E.name kind) seed;
-        (* A violation found under faults still certifies, when witness
-           reconstruction survived the schedule. *)
-        match o.E.witness with
-        | None -> ()
-        | Some _ -> (
-            match C.deadlock net o with
-            | C.Certified _ -> ()
-            | v ->
-                Failure_dump.failf ?trace:o.E.witness ~label net
-                  "%s witness found under faults failed certification \
-                   (%a, seed %d)"
-                  (E.name kind) (C.pp net) v seed)
-      end
-      else if E.truncated o then
-        (* A faulted-out clean run must classify as inconclusive, never
-           as holding. *)
-        let q = { Harness.Query.net; target = net; property = None } in
-        match Harness.Query.classify q o with
-        | _, Harness.Query.Inconclusive _ -> ()
-        | _ ->
-            Failure_dump.failf ~label net
-              "%s: partial clean run did not map to inconclusive (seed %d)"
-              (E.name kind) seed
+  in
+  if o.E.stop = Guard.Completed && not o.E.deadlock then begin
+    (* A clean "holds" claims exhaustive coverage.  Injected faults
+       must never fabricate that on a net that does deadlock. *)
+    if expect_deadlock then
+      Failure_dump.failf ~label net
+        "%s reported a clean completed run on a deadlocking net \
+         (seed %d)"
+        (E.name kind) seed
+  end;
+  if o.E.deadlock then begin
+    if not expect_deadlock then
+      Failure_dump.failf ?trace:o.E.witness ~label net
+        "%s reported a deadlock on a deadlock-free net (seed %d)"
+        (E.name kind) seed;
+    (* A violation found under faults still certifies, when witness
+       reconstruction survived the schedule. *)
+    match o.E.witness with
+    | None -> ()
+    | Some _ -> (
+        match C.deadlock net o with
+        | C.Certified _ -> ()
+        | v ->
+            Failure_dump.failf ?trace:o.E.witness ~label net
+              "%s witness found under faults failed certification \
+               (%a, seed %d)"
+              (E.name kind) (C.pp net) v seed)
+  end
+  else if E.truncated o then
+    (* A faulted-out clean run must classify as inconclusive, never
+       as holding. *)
+    let q = { Harness.Query.net; target = net; property = None } in
+    match Harness.Query.classify q o with
+    | _, Harness.Query.Inconclusive _ -> ()
+    | _ ->
+        Failure_dump.failf ~label net
+          "%s: partial clean run did not map to inconclusive (seed %d)"
+          (E.name kind) seed
 
 let chaos_sweep () =
   let n = fault_seeds () in
@@ -100,40 +95,63 @@ let chaos_sweep () =
   Guard.Fault.disable ()
 
 (* ------------------------------------------------------------------ *)
-(* Cancellation in the middle of witness reconstruction: the walk-back
-   loops poll the token, unwind with Cancelled, and no partial witness
-   escapes as an outcome. *)
+(* Witness reconstruction reacts to cancellation only: a walk-back under
+   a guard tripped [Cancelled] raises, and no partial witness escapes as
+   an outcome; under a guard tripped by its deadline or memory budget
+   the walk still returns the whole witness, because a violation found
+   before the budget ran out still counts. *)
 
-let cancelled_token () =
-  let token = Par.Cancel.create () in
-  Par.Cancel.cancel token;
-  token
+let tripped reason =
+  let guard = Guard.create () in
+  Guard.trip guard reason;
+  guard
+
+(* [walk guard] reconstructs a witness on [net] under [guard]: it must
+   raise for a [Cancelled] guard and replay to a dead marking for the
+   others. *)
+let check_walk ~what net walk =
+  List.iter
+    (fun reason ->
+      match walk (tripped reason) with
+      | trace ->
+          if reason = Guard.Cancelled then
+            Alcotest.failf "%s: cancelled witness walk returned a trace" what;
+          if
+            not
+              (Petri.Semantics.is_deadlock net
+                 (Petri.Trace.final_marking net trace))
+          then
+            Alcotest.failf "%s: walk under a %s trip missed the dead marking"
+              what
+              (Guard.string_of_stop reason)
+      | exception Guard.Interrupted Guard.Cancelled ->
+          if reason <> Guard.Cancelled then
+            Alcotest.failf "%s: a %s trip stopped the witness walk" what
+              (Guard.string_of_stop reason))
+    [ Guard.Cancelled; Guard.Deadline; Guard.Memory ]
 
 let explicit_witness_cancellable () =
   let net = Models.Nsdp.make 4 in
   List.iter
-    (fun r ->
+    (fun (what, r) ->
       match r.Petri.Reachability.deadlocks with
       | [] -> Alcotest.fail "nsdp-4 must retain a deadlock witness"
-      | m :: _ -> (
-          match
-            Petri.Reachability.trace_to ~cancel:(cancelled_token ()) r m
-          with
-          | _ -> Alcotest.fail "cancelled witness walk returned a trace"
-          | exception Par.Cancel.Cancelled -> ()))
+      | m :: _ ->
+          check_walk ~what net (fun guard ->
+              Petri.Reachability.trace_to ~guard r m))
     [
-      Petri.Reachability.explore ~traces:true net;
-      Petri.Stubborn.explore ~traces:true net;
+      ("full", Petri.Reachability.explore ~traces:true net);
+      ("spin+po", Petri.Stubborn.explore ~traces:true net);
     ]
 
 let gpo_witness_cancellable () =
-  let r = Gpn.Explorer.analyse (Models.Nsdp.make 4) in
+  let net = Models.Nsdp.make 4 in
+  let r = Gpn.Explorer.analyse net in
   match r.Gpn.Explorer.deadlocks with
   | [] -> Alcotest.fail "nsdp-4 must produce a gpo witness"
-  | w :: _ -> (
-      match Gpn.Explorer.deadlock_trace ~cancel:(cancelled_token ()) r w with
-      | _ -> Alcotest.fail "cancelled gpo witness walk returned a trace"
-      | exception Par.Cancel.Cancelled -> ())
+  | w :: _ ->
+      check_walk ~what:"gpo" net (fun guard ->
+          Gpn.Explorer.deadlock_trace ~guard r w)
 
 (* The symbolic walk is internal to [analyse]; a cancellation storm
    targeted at its probe site cancels reconstruction specifically (the
@@ -145,25 +163,27 @@ let symbolic_witness_cancellable () =
         Bddkit.Symbolic.analyse ~witness:true (Models.Nsdp.make 4))
   with
   | _ -> Alcotest.fail "cancelled symbolic reconstruction returned"
-  | exception Par.Cancel.Cancelled -> ()
+  | exception Guard.Interrupted Guard.Cancelled -> ()
 
 (* Through the uniform engine layer: a storm on the witness sites must
-   surface as Cancelled (the portfolio contract), never as an outcome
-   with a half-built witness attached. *)
+   come back as an outcome stopped [Cancelled], never with a half-built
+   witness attached. *)
 let engine_witness_storms () =
   let net = Models.Nsdp.make 4 in
   List.iter
     (fun (kind, site) ->
-      match
+      let o =
         Guard.Fault.with_faults ~rate:1.0 ~kinds:[ Guard.Fault.Cancel ]
           ~sites:[ site ] 5 (fun () ->
             E.run ~max_states:200_000 ~witness:true ~gpo_scan:true kind net)
-      with
-      | o ->
-          if o.E.witness <> None then
-            Alcotest.failf "%s: partial witness escaped a cancellation storm"
-              (E.name kind)
-      | exception Par.Cancel.Cancelled -> ())
+      in
+      if o.E.witness <> None then
+        Alcotest.failf "%s: partial witness escaped a cancellation storm"
+          (E.name kind);
+      if o.E.stop <> Guard.Cancelled then
+        Alcotest.failf "%s: a cancellation storm stopped the run %s"
+          (E.name kind)
+          (Guard.string_of_stop o.E.stop))
     [
       (E.Full, "reach.witness");
       (E.Stubborn, "reach.witness");
@@ -175,7 +195,8 @@ let engine_witness_storms () =
 (* Reduction under faults.  The pipeline's degradation contract is
    all-or-nothing: an allocation failure inside a rule pass abandons
    reduction entirely (the engine then analyses the original net), a
-   cancellation storm unwinds, and in no case does a half-reduced net
+   cancellation storm raises [Guard.Interrupted Cancelled], and in no
+   case does a half-reduced net
    or a stale inverse mapping reach an engine. *)
 
 let reduce_degrades_to_identity () =
@@ -197,7 +218,7 @@ let reduce_cancellable () =
       ~sites:[ "reduce.rule" ] 11 (fun () -> Reduce.run (Models.Rw.make 6))
   with
   | _ -> Alcotest.fail "cancelled reduction returned a result"
-  | exception Par.Cancel.Cancelled -> ()
+  | exception Guard.Interrupted Guard.Cancelled -> ()
 
 (* An engine asked to reduce keeps its verdict contract when the
    reduction itself is the faulty component: the storm forces the
@@ -239,39 +260,37 @@ let reduce_chaos_sweep () =
                   (Failure_dump.slug (E.name kind))
                   seed
               in
-              match
+              let o =
                 Guard.Fault.with_faults ~rate:0.2 ~sites:[ "reduce.rule" ]
                   seed (fun () ->
                     E.run ~max_states:200_000 ~witness:true ~gpo_scan:true
                       ~reduce:true kind net)
-              with
-              | exception Par.Cancel.Cancelled -> ()
-              | o ->
-                  if
-                    o.E.stop = Guard.Completed && (not o.E.deadlock)
-                    && expect_deadlock
-                  then
-                    Failure_dump.failf ~label net
-                      "%s reported a clean completed run on a deadlocking \
-                       net (seed %d)"
-                      (E.name kind) seed;
-                  if o.E.deadlock then begin
-                    if not expect_deadlock then
-                      Failure_dump.failf ?trace:o.E.witness ~label net
-                        "%s reported a deadlock on a deadlock-free net \
-                         (seed %d)"
-                        (E.name kind) seed;
-                    match o.E.witness with
-                    | None -> ()
-                    | Some _ -> (
-                        match C.deadlock net o with
-                        | C.Certified _ -> ()
-                        | v ->
-                            Failure_dump.failf ?trace:o.E.witness ~label net
-                              "%s lifted witness failed certification under \
-                               faults (%a, seed %d)"
-                              (E.name kind) (C.pp net) v seed)
-                  end)
+              in
+              if
+                o.E.stop = Guard.Completed && (not o.E.deadlock)
+                && expect_deadlock
+              then
+                Failure_dump.failf ~label net
+                  "%s reported a clean completed run on a deadlocking \
+                   net (seed %d)"
+                  (E.name kind) seed;
+              if o.E.deadlock then begin
+                if not expect_deadlock then
+                  Failure_dump.failf ?trace:o.E.witness ~label net
+                    "%s reported a deadlock on a deadlock-free net \
+                     (seed %d)"
+                    (E.name kind) seed;
+                match o.E.witness with
+                | None -> ()
+                | Some _ -> (
+                    match C.deadlock net o with
+                    | C.Certified _ -> ()
+                    | v ->
+                        Failure_dump.failf ?trace:o.E.witness ~label net
+                          "%s lifted witness failed certification under \
+                           faults (%a, seed %d)"
+                          (E.name kind) (C.pp net) v seed)
+              end)
             E.all)
         nets);
   Guard.Fault.disable ()

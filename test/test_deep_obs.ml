@@ -185,7 +185,7 @@ let str_field name obj =
   | _ -> None
 
 let test_trace_well_formed () =
-  let sink, read = Obs.Trace.collecting_sink () in
+  let sink, read = Obs.memory_sink () in
   Obs.with_sink sink (fun () ->
       Obs.meta "run" [ ("net", Obs.S "test") ];
       Obs.Span.time "work" (fun () ->

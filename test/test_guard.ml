@@ -1,6 +1,6 @@
 (* Tests for the resource-governance layer: typed stop reasons,
-   deadline and memory trips, pressure hooks, and the deterministic
-   fault-injection schedule. *)
+   deadline, memory and cancellation trips, pressure hooks, and the
+   deterministic fault-injection schedule. *)
 
 let stop_strings () =
   Alcotest.(check string) "completed" "completed"
@@ -16,37 +16,36 @@ let stop_strings () =
     (Guard.string_of_stop (Guard.Crashed "boom"))
 
 let deadline_trips () =
-  Guard.with_guard ~deadline_s:0.0 (fun g ->
-      (match Guard.poll_now g with
-      | () -> Alcotest.fail "expired deadline did not trip"
-      | exception Guard.Interrupted Guard.Deadline -> ()
-      | exception Guard.Interrupted r ->
-          Alcotest.failf "wrong reason %s" (Guard.string_of_stop r));
-      (* Sticky: every later poll re-raises, including the masked one. *)
-      (match Guard.poll g with
-      | () -> Alcotest.fail "trip was not sticky"
-      | exception Guard.Interrupted Guard.Deadline -> ());
-      Alcotest.(check bool) "tripped recorded" true
-        (Guard.tripped g = Some Guard.Deadline))
+  let g = Guard.create ~deadline_s:0.0 () in
+  (match Guard.poll_now g with
+  | () -> Alcotest.fail "expired deadline did not trip"
+  | exception Guard.Interrupted Guard.Deadline -> ()
+  | exception Guard.Interrupted r ->
+      Alcotest.failf "wrong reason %s" (Guard.string_of_stop r));
+  (* Sticky: every later poll re-raises, including the masked one. *)
+  (match Guard.poll g with
+  | () -> Alcotest.fail "trip was not sticky"
+  | exception Guard.Interrupted Guard.Deadline -> ());
+  Alcotest.(check bool) "tripped recorded" true
+    (Guard.tripped g = Some Guard.Deadline)
 
 let generous_deadline_does_not_trip () =
-  Guard.with_guard ~deadline_s:3600. (fun g ->
-      for _ = 1 to 10_000 do
-        Guard.poll g
-      done;
-      Alcotest.(check bool) "still clean" true (Guard.stop g = Guard.Completed))
+  let g = Guard.create ~deadline_s:3600. () in
+  for _ = 1 to 10_000 do
+    Guard.poll g
+  done;
+  Alcotest.(check bool) "still clean" true (Guard.stop g = Guard.Completed)
 
 let memory_trips () =
   (* Keep enough live data that the heap provably exceeds the budget,
-     then poll: the direct heap check must trip even if no major
-     collection (and hence no Gc alarm) happens in between. *)
+     then poll: the direct heap check must trip. *)
   let ballast = Array.init (1 lsl 20) (fun i -> i) in
-  Guard.with_guard ~mem_mb:4 (fun g ->
-      (match Guard.poll_now g with
-      | () -> Alcotest.fail "memory budget did not trip"
-      | exception Guard.Interrupted Guard.Memory -> ());
-      Alcotest.(check bool) "tripped recorded" true
-        (Guard.tripped g = Some Guard.Memory));
+  let g = Guard.create ~mem_mb:4 () in
+  (match Guard.poll_now g with
+  | () -> Alcotest.fail "memory budget did not trip"
+  | exception Guard.Interrupted Guard.Memory -> ());
+  Alcotest.(check bool) "tripped recorded" true
+    (Guard.tripped g = Some Guard.Memory);
   assert (Array.length ballast > 0)
 
 let first_trip_wins () =
@@ -54,18 +53,20 @@ let first_trip_wins () =
   Guard.trip g Guard.Deadline;
   Guard.trip g Guard.Memory;
   Alcotest.(check string) "first reason kept" "deadline"
-    (Guard.string_of_stop (Guard.stop g));
-  Guard.dispose g
+    (Guard.string_of_stop (Guard.stop g))
 
+(* An ancestor's recorded [Cancelled] is raised before the guard
+   re-checks its own (expired) deadline. *)
 let check_prefers_cancellation () =
-  let token = Par.Cancel.create () in
-  Par.Cancel.cancel token;
-  Guard.with_guard ~deadline_s:0.0 (fun g ->
-      match Guard.check_now ~cancel:token ~guard:g () with
-      | () -> Alcotest.fail "nothing raised"
-      | exception Par.Cancel.Cancelled -> ()
-      | exception Guard.Interrupted _ ->
-          Alcotest.fail "guard polled before the cancellation token")
+  let parent = Guard.create () in
+  Guard.trip parent Guard.Cancelled;
+  let g = Guard.create ~parent ~deadline_s:0.0 () in
+  match Guard.check_now ~guard:g () with
+  | () -> Alcotest.fail "nothing raised"
+  | exception Guard.Interrupted Guard.Cancelled -> ()
+  | exception Guard.Interrupted r ->
+      Alcotest.failf "own %s raised before the ancestor's cancellation"
+        (Guard.string_of_stop r)
 
 let pressure_hooks_run () =
   let hits = ref 0 in
@@ -78,22 +79,19 @@ let pressure_hooks_run () =
    no exception escaping the engine entry point. *)
 let engines_report_deadline () =
   let net = Models.Nsdp.make 6 in
-  Guard.with_guard ~deadline_s:0.0 (fun g ->
-      let r = Petri.Reachability.explore ~guard:g net in
-      Alcotest.(check bool) "explicit stopped by deadline" true
-        (r.stop = Guard.Deadline));
-  Guard.with_guard ~deadline_s:0.0 (fun g ->
-      let r = Bddkit.Symbolic.analyse ~guard:g net in
-      Alcotest.(check bool) "symbolic stopped by deadline" true
-        (r.stop = Guard.Deadline));
-  Guard.with_guard ~deadline_s:0.0 (fun g ->
-      let r = Gpn.Explorer.analyse ~guard:g net in
-      Alcotest.(check bool) "gpo stopped by deadline" true
-        (r.stop = Guard.Deadline));
-  Guard.with_guard ~deadline_s:0.0 (fun g ->
-      let r = Petri.Stubborn.explore ~guard:g net in
-      Alcotest.(check bool) "stubborn stopped by deadline" true
-        (r.stop = Guard.Deadline))
+  let expired () = Guard.create ~deadline_s:0.0 () in
+  let r = Petri.Reachability.explore ~guard:(expired ()) net in
+  Alcotest.(check bool) "explicit stopped by deadline" true
+    (r.stop = Guard.Deadline);
+  let r = Bddkit.Symbolic.analyse ~guard:(expired ()) net in
+  Alcotest.(check bool) "symbolic stopped by deadline" true
+    (r.stop = Guard.Deadline);
+  let r = Gpn.Explorer.analyse ~guard:(expired ()) net in
+  Alcotest.(check bool) "gpo stopped by deadline" true
+    (r.stop = Guard.Deadline);
+  let r = Petri.Stubborn.explore ~guard:(expired ()) net in
+  Alcotest.(check bool) "stubborn stopped by deadline" true
+    (r.stop = Guard.Deadline)
 
 let engine_run_degrades_on_oom () =
   (* A simulated allocation failure in the hot loop: Engine.run must

@@ -13,11 +13,10 @@ module E = Harness.Engine
    wave fan-out and the striped interning tables. *)
 let par_jobs = 4
 
-(* [Counter.make] interns by name, so these are the very cells the par
+(* [Counter.make] interns by name, so this is the very cell the guard
    library increments — the tests read the cancellation handshake off
-   them. *)
-let c_cancel_requests = Gpo_obs.Counter.make "par.cancel.requests"
-let c_cancel_observed = Gpo_obs.Counter.make "par.cancel.observed"
+   it. *)
+let c_cancel_trips = Gpo_obs.Counter.make "guard.cancel.trips"
 
 (* ------------------------------------------------------------------ *)
 (* Primitives                                                          *)
@@ -48,35 +47,43 @@ let pool_rethrows_after_finishing () =
         "pool is reusable" [ 2; 4 ]
         (Par.Pool.map pool (fun x -> 2 * x) [ 1; 2 ]))
 
+(* Cancellation is a guard trip shared through [?parent]: one trip on
+   a guard stops every guard below it, and is counted once. *)
 let cancellation_handshake () =
-  let token = Par.Cancel.create () in
-  Alcotest.(check bool) "fresh token unset" false (Par.Cancel.is_set token);
-  Par.Cancel.check token;
+  let root = Guard.create () in
+  let child = Guard.create ~parent:root () in
+  Guard.poll_now child;
   (* does not raise *)
-  let before = Gpo_obs.Counter.value c_cancel_observed in
-  Par.Cancel.cancel token;
-  Par.Cancel.cancel token;
+  let before = Gpo_obs.Counter.value c_cancel_trips in
+  Guard.trip root Guard.Cancelled;
+  Guard.trip root Guard.Cancelled;
   (* idempotent *)
-  Alcotest.(check bool) "set after cancel" true (Par.Cancel.is_set token);
-  (match Par.Cancel.check token with
-  | () -> Alcotest.fail "check on a set token must raise"
-  | exception Par.Cancel.Cancelled -> ());
-  Alcotest.(check bool)
-    "observation counted" true
-    (Gpo_obs.Counter.value c_cancel_observed > before)
+  Alcotest.(check int) "trip counted once" (before + 1)
+    (Gpo_obs.Counter.value c_cancel_trips);
+  Alcotest.(check bool) "child sees the ancestor's trip" true
+    (Guard.stop child = Guard.Cancelled);
+  (match Guard.poll child with
+  | () -> Alcotest.fail "poll below a cancelled guard must raise"
+  | exception Guard.Interrupted Guard.Cancelled -> ());
+  match Guard.check_cancelled ~guard:child () with
+  | () -> Alcotest.fail "witness walks must see the cancellation"
+  | exception Guard.Interrupted Guard.Cancelled -> ()
 
-(* A cancelled engine run actually unwinds: cancel the token up front
-   and the exploration must raise without visiting the whole space. *)
+(* A cancelled engine run returns at once: with the guard tripped up
+   front, every engine stops [Cancelled] before its first expansion. *)
 let engine_runs_are_cancellable () =
   List.iter
     (fun kind ->
-      let token = Par.Cancel.create () in
-      Par.Cancel.cancel token;
-      match E.run ~cancel:token kind (Models.Scheduler.make 6) with
-      | (_ : E.outcome) ->
-          Alcotest.failf "%s ignored a pre-set cancellation token"
-            (E.name kind)
-      | exception Par.Cancel.Cancelled -> ())
+      let guard = Guard.create () in
+      Guard.trip guard Guard.Cancelled;
+      let o = E.run ~guard kind (Models.Scheduler.make 6) in
+      Alcotest.(check string)
+        (E.name kind ^ " stop")
+        "cancelled"
+        (Guard.string_of_stop o.E.stop);
+      Alcotest.(check bool)
+        (E.name kind ^ " stopped before expanding")
+        true (o.E.states <= 1.))
     E.all
 
 (* ------------------------------------------------------------------ *)
@@ -194,9 +201,10 @@ let gpo_differential_random () =
         par)
 
 (* Injected delays perturb worker timing but not walk content, so the
-   results stay bit-identical.  Injected cancellation storms may unwind
-   either side — results are compared only when both complete (no storm
-   fired; the fault-free schedules are then identical). *)
+   results stay bit-identical.  Injected cancellation storms may stop
+   either side early ([stop = Cancelled], or an exception out of the
+   unguarded set-up) — results are compared only when both complete (no
+   storm fired; the fault-free schedules are then identical). *)
 let gpo_differential_faults () =
   let net = Models.Over.make 3 in
   for seed = 0 to 9 do
@@ -206,8 +214,8 @@ let gpo_differential_faults () =
           ~sites:[ "gpo.step"; "bitset.intern" ] seed (fun () ->
             G.analyse ~max_states:50_000 ~jobs net)
       with
-      | r -> Some r
-      | exception Par.Cancel.Cancelled -> None
+      | r when r.G.stop = Guard.Completed -> Some r
+      | _ | (exception Guard.Interrupted Guard.Cancelled) -> None
     in
     (match
        (with_kind Guard.Fault.Delay 1, with_kind Guard.Fault.Delay par_jobs)
@@ -216,7 +224,7 @@ let gpo_differential_faults () =
         same_gpo_results
           ~label:(Printf.sprintf "gpo-delay-seed-%d" seed)
           net seq par
-    | _ -> Alcotest.fail "delay faults must not unwind the run");
+    | _ -> Alcotest.fail "delay faults must not stop the run");
     match
       (with_kind Guard.Fault.Cancel 1, with_kind Guard.Fault.Cancel par_jobs)
     with
@@ -225,8 +233,7 @@ let gpo_differential_faults () =
           ~label:(Printf.sprintf "gpo-cancel-seed-%d" seed)
           net seq par
     | _ ->
-        (* A storm unwound one side: acceptable, the cancellation
-           contract belongs to the caller. *)
+        (* A storm stopped one side: acceptable, the run reports it. *)
         ()
   done
 
@@ -245,9 +252,10 @@ let gpo_differential_truncation () =
 (* Portfolio                                                           *)
 
 (* The winner's verdict must match exhaustive ground truth, its witness
-   must certify, and — when an engine wins early — the losers must have
-   observed the cancellation (the [par.cancel.*] counters prove the
-   handshake rather than trusting the join). *)
+   must certify, and the winner must have tripped the race guard (the
+   [guard.cancel.trips] counter proves the handshake rather than
+   trusting the join); [cancelled_losers] counts the entrants that
+   stopped [Cancelled]. *)
 let portfolio_matches_truth () =
   List.iter
     (fun (net : Petri.Net.t) ->
@@ -266,17 +274,14 @@ let portfolio_matches_truth () =
          | v ->
              Alcotest.failf "%s: portfolio witness not certified: %a" net.name
                (Harness.Certify.pp net) v);
-      let requests = Gpo_obs.Counter.value c_cancel_requests in
-      let observed = Gpo_obs.Counter.value c_cancel_observed in
       Alcotest.(check bool)
-        (net.name ^ ": winner requested cancellation")
-        true (requests >= 1);
-      (* Each cancelled loser observed the token at least once; the
-         report counts the losers that unwound via Cancelled. *)
-      Alcotest.(check bool)
-        (net.name ^ ": losers observed the cancellation")
+        (net.name ^ ": winner tripped the race guard")
         true
-        (observed >= r.cancelled_losers))
+        (Gpo_obs.Counter.value c_cancel_trips >= 1);
+      Alcotest.(check int)
+        (net.name ^ ": cancelled losers = entrants stopped Cancelled")
+        (List.length (List.filter (fun (_, s) -> s = Guard.Cancelled) r.stops))
+        r.cancelled_losers)
     [
       Models.Figures.fig2 5;
       Models.Nsdp.make 4;

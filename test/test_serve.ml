@@ -374,6 +374,25 @@ let test_batch_dedupe () =
         && d.P.id = "job-3")
   | _ -> Alcotest.fail "expected four results"
 
+(* A hard drain trips the scheduler's drain guard: every job run after
+   it, portfolio jobs included, answers [Failed "cancelled"]. *)
+let test_hard_drain_reaches_portfolio () =
+  with_scheduler ~jobs:1 @@ fun sched ->
+  S.cancel_inflight sched;
+  RC.invalidate ();
+  let job engine = P.job ~engine (P.Model { id = "nsdp"; size = 5 }) in
+  match S.submit sched [ job "portfolio"; job "po" ] with
+  | P.Results rs ->
+      Alcotest.(check int) "both jobs answered" 2 (List.length rs);
+      List.iter
+        (fun (r : P.job_result) ->
+          match r.status with
+          | P.Failed "cancelled" -> ()
+          | P.Failed msg -> Alcotest.failf "job %s failed: %s" r.id msg
+          | P.Ok -> Alcotest.failf "job %s ran past the drain" r.id)
+        rs
+  | _ -> Alcotest.fail "drained batch still returns results"
+
 (* ------------------------------------------------------------------ *)
 (* Fault injection at serve.request: contained, never poisons          *)
 
@@ -943,4 +962,6 @@ let suite =
       test_retry_gives_up_on_dead_endpoint;
     Alcotest.test_case "retry rides out a daemon restart" `Quick
       test_retry_rides_out_restart;
+    Alcotest.test_case "a hard drain cancels portfolio jobs too" `Quick
+      test_hard_drain_reaches_portfolio;
   ]

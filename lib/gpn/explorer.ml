@@ -3,8 +3,9 @@
    The explorer does not depend on the iteration order of world sets,
    which is interning order and differs between parallel runs: deviation
    restarts are collected per state and sorted by (normal-form key, root
-   marking, transition) before being scheduled, and witness marking
-   lists are sorted.  This makes results deterministic run to run.
+   marking, transition, world) before being scheduled, and witness
+   marking lists are sorted.  This makes results deterministic run to
+   run.  The deviation scan itself, per denotation class, is [Scan].
 
    The engine is domain-safe end to end: world sets shard their
    hash-consing tables and keep their memo caches domain-local (see
@@ -20,10 +21,6 @@ open struct
 end
 
 module Marking_table = Petri.Reachability.Marking_table
-
-(* Worlds are interned bit sets, so this table's probes are digest
-   reads + (near-)pointer comparisons. *)
-module World_tbl = Hashtbl.Make (Petri.Bitset)
 
 type label = { multiples : Bitset.t; singles : Petri.Net.transition list }
 
@@ -214,76 +211,17 @@ let c_states = Gpo_obs.Counter.make "gpo.states"
 let c_edges = Gpo_obs.Counter.make "gpo.edges"
 let c_restarts = Gpo_obs.Counter.make "gpo.restarts"
 let c_witnesses = Gpo_obs.Counter.make "gpo.deadlock_witnesses"
+(* In (world, transition) deviations: a class candidate adds the
+   number of worlds it stands for. *)
 let c_deviations = Gpo_obs.Counter.make "gpo.deviations_scheduled"
 let d_worlds = Gpo_obs.Dist.make "gpo.worlds_per_state"
-
-let classical_successor (net : Petri.Net.t) marking t =
-  Bitset.union (Bitset.diff marking net.pre.(t)) net.post.(t)
-
-(* Deadlock-equivalence normal form: fire the lowest-index enabled
-   conflict-free transition until quiescence.  A conflict-free
-   transition owns its preset exclusively, so it can never be
-   disabled: no deadlock can be reached before it fires, and it
-   commutes with every other firing — markings equal up to such
-   firings reach exactly the same deadlocks.  The walk is
-   deterministic; if it enters a cycle of conflict-free firings, the
-   smallest marking of the cycle is the canonical representative. *)
-let normal_form ctx marking =
-  let net = Dynamics.net ctx in
-  let choice = Dynamics.choice_transitions ctx in
-  let next m =
-    let rec search t =
-      if t >= net.Petri.Net.n_transitions then None
-      else if (not (Bitset.mem t choice)) && Petri.Semantics.enabled net t m
-      then Some t
-      else search (t + 1)
-    in
-    search 0
-  in
-  let seen = Marking_table.create 8 in
-  let rec walk m =
-    match next m with
-    | None -> m
-    | Some t ->
-        if Marking_table.mem seen m then begin
-          (* Cycle: walk it once more, collecting its markings. *)
-          let rec collect m' acc =
-            match next m' with
-            | None -> assert false
-            | Some t' ->
-                let m'' = classical_successor net m' t' in
-                if Bitset.equal m'' m then acc
-                else collect m'' (if Bitset.compare m'' acc < 0 then m'' else acc)
-          in
-          collect m m
-        end
-        else begin
-          Marking_table.add seen m ();
-          walk (classical_successor net m t)
-        end
-  in
-  walk marking
-
-(* A deviation restart discovered inside a walk, reported to the
-   coordinator instead of being scheduled directly.  [dc_conditional]
-   distinguishes the scan-born candidates — suppressed when the
-   deviating marking is already denoted — from the cycle-closure
-   restarts, which must never be suppressed (the denotation table's
-   premise is exactly what the closing cycle violated). *)
-type dev_candidate = {
-  dc_key : Bitset.t;  (* normal form of the deviating marking *)
-  dc_root : Bitset.t;
-  dc_state : State.t;
-  dc_world : W.world;
-  dc_transition : Petri.Net.transition;
-  dc_conditional : bool;
-}
 
 (* Everything a walk produces, merged single-threaded between
    waves. *)
 type walk_output = {
   wk_run : run;
-  wk_devs : dev_candidate list;  (* state order; sorted within a state *)
+  wk_devs : (State.t * Scan.candidate) list;
+      (* state order; sorted within a state *)
   wk_wits : (State.t * W.t * Bitset.t list) list;  (* state order *)
   wk_denos : Bitset.t list;  (* normal forms new to this walk *)
 }
@@ -293,6 +231,7 @@ let explore ?(scan = true) ?(max_states = 1_000_000) ?(max_deadlocks = 64)
   let net = Dynamics.net ctx in
   let choice = Dynamics.choice_transitions ctx in
   let partner_pre = partner_presets ctx in
+  let scanner = Scan.create ctx in
   let n_transitions = net.Petri.Net.n_transitions in
   let roots_done = Marking_table.create 16 in
   let pending = Queue.create () in
@@ -339,6 +278,9 @@ let explore ?(scan = true) ?(max_states = 1_000_000) ?(max_deadlocks = 64)
     (* Walk-local overlays over the frozen tables, reported back to
        the coordinator for the post-wave merge. *)
     let local_denoted = Marking_table.create 16 in
+    let known key =
+      Marking_table.mem denoted_global key || Marking_table.mem local_denoted key
+    in
     let denos = ref [] in
     let local_dead = Marking_table.create 4 in
     let wits = ref [] in
@@ -363,6 +305,9 @@ let explore ?(scan = true) ?(max_states = 1_000_000) ?(max_deadlocks = 64)
       in
       current := None;
       let en = Gpo_obs.Span.time "gpo.enabling" (fun () -> enabling ctx s) in
+      (* Opened here, so that the per-state telemetry and the dead-world
+         check fall under a span too. *)
+      let sp_scan = Gpo_obs.Span.enter "gpo.scan" in
       if Gpo_obs.enabled () then begin
         Gpo_obs.Dist.observe_int d_worlds (W.cardinal (State.valid s));
         Gpo_obs.Progress.sample "gpo" (fun () ->
@@ -379,32 +324,11 @@ let explore ?(scan = true) ?(max_states = 1_000_000) ?(max_deadlocks = 64)
          content before being reported: the report order (hence
          everything downstream) is schedule-independent. *)
       let state_devs = ref [] in
-      let defer ~conditional ~key root world transition =
-        state_devs :=
-          {
-            dc_key = key;
-            dc_root = root;
-            dc_state = s;
-            dc_world = world;
-            dc_transition = transition;
-            dc_conditional = conditional;
-          }
-          :: !state_devs
-      in
-      let flush_deviations () =
-        let cmp a b =
-          let c = Bitset.compare a.dc_key b.dc_key in
-          if c <> 0 then c
-          else begin
-            let c = Bitset.compare a.dc_root b.dc_root in
-            if c <> 0 then c
-            else begin
-              let c = Int.compare a.dc_transition b.dc_transition in
-              if c <> 0 then c else Bitset.compare a.dc_world b.dc_world
-            end
-          end
-        in
-        devs := List.rev_append (List.sort cmp !state_devs) !devs
+      let defer candidates = state_devs := candidates @ !state_devs in
+      (* The state's denotation classes, found only when some world
+         needs its marking. *)
+      let classes =
+        lazy (Gpo_obs.Span.time "gpo.classes" (fun () -> Scan.classify scanner s))
       in
       (* Deadlock worlds: valid worlds enabling nothing. *)
       let live = Array.fold_left W.union W.empty en.s_enab in
@@ -416,18 +340,17 @@ let explore ?(scan = true) ?(max_states = 1_000_000) ?(max_deadlocks = 64)
            applies the witness cap — worker scheduling must not
            decide which witness survives. *)
         let fresh_markings =
-          W.fold
-            (fun v acc ->
-              let m = State.denoted_marking s v in
+          List.filter
+            (fun m ->
               if
                 Marking_table.mem seen_dead_markings m
                 || Marking_table.mem local_dead m
-              then acc
+              then false
               else begin
                 Marking_table.add local_dead m ();
-                m :: acc
+                true
               end)
-            dead []
+            (Scan.markings_meeting (Lazy.force classes) dead)
           |> List.sort Bitset.compare
         in
         if fresh_markings <> [] then
@@ -437,97 +360,39 @@ let explore ?(scan = true) ?(max_states = 1_000_000) ?(max_deadlocks = 64)
          choice transition its label rejected must have that branch
          covered by a sibling world, or the analysis restarts from
          the deviating marking. *)
-      let denotation_cache = World_tbl.create 32 in
-      let denote v =
-        match World_tbl.find_opt denotation_cache v with
-        | Some m -> m
-        | None ->
-            let m = State.denoted_marking s v in
-            World_tbl.add denotation_cache v m;
-            m
-      in
-      let nf_cache = World_tbl.create 32 in
-      let nf_denote v =
-        match World_tbl.find_opt nf_cache v with
-        | Some m -> m
-        | None ->
-            let m = normal_form ctx (denote v) in
-            World_tbl.add nf_cache v m;
-            m
-      in
-      let sp_scan = Gpo_obs.Span.enter "gpo.scan" in
-      let denoted_mem key =
-        Marking_table.mem denoted_global key
-        || Marking_table.mem local_denoted key
-      in
-      if scan then
-        W.iter
-          (fun v ->
-            let m = nf_denote v in
-            if not (denoted_mem m) then begin
+      let rejections =
+        if scan then begin
+          let r =
+            Scan.run scanner (Lazy.force classes) ~known ~s_enab:en.s_enab
+              ~m_enab:en.m_enab ~prev:prev_rejections
+          in
+          List.iter
+            (fun m ->
               Marking_table.replace local_denoted m ();
-              denos := m :: !denos
-            end)
-          (State.valid s);
-      let rejections = Array.make n_transitions W.empty in
-      if scan then
-        Bitset.iter
-          (fun t ->
-            rejections.(t) <- W.diff en.s_enab.(t) en.m_enab.(t);
-            let rejecting = W.diff rejections.(t) prev_rejections.(t) in
-            if not (W.is_empty rejecting) then begin
-              (* Denotations of the worlds about to fire [t] this
-                 step: their post-firing markings are not yet in the
-                 global table, so cover them by pre-firing
-                 equality. *)
-              let firing_denotations =
-                lazy
-                  begin
-                    let table = Marking_table.create 8 in
-                    W.iter
-                      (fun u -> Marking_table.replace table (nf_denote u) ())
-                      en.m_enab.(t);
-                    table
-                  end
-              in
-              W.iter
-                (fun v ->
-                  if
-                    not
-                      (Marking_table.mem
-                         (Lazy.force firing_denotations)
-                         (nf_denote v))
-                  then begin
-                    let m_t = classical_successor net (denote v) t in
-                    let key = normal_form ctx m_t in
-                    if not (denoted_mem key) then
-                      defer ~conditional:true ~key m_t v t
-                  end)
-                rejecting
-            end)
-          choice;
+              denos := m :: !denos)
+            r.denotations;
+          defer r.candidates;
+          r.rejections
+        end
+        else Array.make n_transitions W.empty
+      in
       Gpo_obs.Span.exit sp_scan;
       (* Fire: at most one label per state.  A rejection is carried
          to the next state only for worlds that did not fire in this
          step: a world that moved has a new denotation, so its
          pending rejections must be re-scanned there. *)
       let sp_fire = Gpo_obs.Span.enter "gpo.fire" in
+      let restarts ~conditional t =
+        defer
+          (Scan.restarts scanner (Lazy.force classes) ~conditional ~known t
+             en.m_enab.(t))
+      in
       Option.iter
         (fun (label, skipped) ->
           (* Firing order was forced against the safe precedence:
              cover the "skipped transition first" interleavings by
              restarting from their firing markings. *)
-          if scan then
-            Bitset.iter
-              (fun w ->
-                W.iter
-                  (fun v ->
-                    let m_w = classical_successor net (denote v) w in
-                    let key = normal_form ctx m_w in
-                    if not (denoted_mem key) then
-                      defer ~conditional:true ~key m_w v w)
-                  en.m_enab.(w))
-              skipped;
+          if scan then Bitset.iter (restarts ~conditional:true) skipped;
           let s' = apply ctx s label in
           Atomic.incr total_edges;
           Gpo_obs.Counter.incr c_edges;
@@ -548,12 +413,7 @@ let explore ?(scan = true) ?(max_states = 1_000_000) ?(max_deadlocks = 64)
               Bitset.iter
                 (fun t ->
                   if not (Bitset.mem t label.multiples) then
-                    W.iter
-                      (fun v ->
-                        let m_t = classical_successor net (denote v) t in
-                        defer ~conditional:false ~key:(normal_form ctx m_t) m_t
-                          v t)
-                      en.m_enab.(t))
+                    restarts ~conditional:false t)
                 choice
           end
           else begin
@@ -583,7 +443,11 @@ let explore ?(scan = true) ?(max_states = 1_000_000) ?(max_deadlocks = 64)
             end
           end)
         (successor_label ctx partner_pre en);
-      flush_deviations ();
+      devs :=
+        List.rev_append
+          (List.map (fun dc -> (s, dc))
+             (List.sort Scan.compare_candidates !state_devs))
+          !devs;
       Gpo_obs.Span.exit sp_fire
     done;
     {
@@ -594,9 +458,6 @@ let explore ?(scan = true) ?(max_states = 1_000_000) ?(max_deadlocks = 64)
     }
   in
   let schedule ~key root origin =
-    (match origin with
-    | Init -> ()
-    | Deviation _ -> Gpo_obs.Counter.incr c_deviations);
     if not (Marking_table.mem roots_done key) then begin
       Marking_table.add roots_done key ();
       Queue.add (root, origin) pending
@@ -635,18 +496,18 @@ let explore ?(scan = true) ?(max_states = 1_000_000) ?(max_deadlocks = 64)
         end)
       w.wk_wits;
     List.iter
-      (fun dc ->
-        if
-          not (dc.dc_conditional && Marking_table.mem denoted_global dc.dc_key)
-        then
-          schedule ~key:dc.dc_key dc.dc_root
+      (fun (state, (dc : Scan.candidate)) ->
+        if not (dc.conditional && Marking_table.mem denoted_global dc.key) then begin
+          Gpo_obs.Counter.add c_deviations dc.deviations;
+          schedule ~key:dc.key dc.root
             (Deviation
                {
                  parent = w.wk_run;
-                 state = dc.dc_state;
-                 world = dc.dc_world;
-                 transition = dc.dc_transition;
-               }))
+                 state;
+                 world = dc.world;
+                 transition = dc.transition;
+               })
+        end)
       w.wk_devs
   in
   (* Wave loop: drain the whole pending queue, fan the walks out

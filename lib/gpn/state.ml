@@ -3,6 +3,7 @@
 
 open struct
   module Bitset = Petri.Bitset
+  module Marking_table = Petri.Reachability.Marking_table
   module W = World_set
 end
 
@@ -50,11 +51,18 @@ let denoted_marking s v =
   in
   loop (n_places - 1) (Bitset.empty n_places)
 
+(* One world at a time, independent of [Scan]'s class descent: the
+   validator and the tests use it as the reference. *)
 let mapping s =
+  let seen = Marking_table.create 16 in
   W.fold
     (fun v acc ->
       let m = denoted_marking s v in
-      if List.exists (Bitset.equal m) acc then acc else m :: acc)
+      if Marking_table.mem seen m then acc
+      else begin
+        Marking_table.add seen m ();
+        m :: acc
+      end)
     s.r []
   |> List.sort Bitset.compare
 

@@ -468,6 +468,44 @@ let rec fold f t acc =
   | Leaf { w; _ } -> f w acc
   | Branch { l; r; _ } -> fold f r (fold f l acc)
 
+(* One descent of [r]'s trie carrying only the undecided sets, each cut
+   down to its part under the current node.  Every [sets.(i)] is a
+   subset of [r], so a part that is neither empty nor the whole subtree
+   (physically: both are canonical) splits along the node's branching
+   bit; a leaf always decides, since its only subsets are itself and
+   [Empty]. *)
+let iter_uniform f r sets =
+  let rec go node members undecided =
+    let members = ref members and open_ = ref [] in
+    List.iter
+      (fun ((i, part) as d) ->
+        if part == node then members := B.add i !members
+        else if part != Empty then open_ := d :: !open_)
+      undecided;
+    match (!open_, node) with
+    | [], _ -> f node !members
+    | open_, Branch { bit; l; r; _ } ->
+        let left = ref [] and right = ref [] in
+        List.iter
+          (fun ((i, part) as d) ->
+            match part with
+            | Branch q when q.bit = bit ->
+                left := (i, q.l) :: !left;
+                right := (i, q.r) :: !right
+            | Branch { prefix = k; _ } | Leaf { key = k; _ } ->
+                if zero_bit k bit then left := d :: !left else right := d :: !right
+            | Empty -> ())
+          open_;
+        go l !members !left;
+        go r !members !right
+    | _ :: _, (Empty | Leaf _) ->
+        invalid_arg "World_set.iter_uniform: not a subset"
+  in
+  if r != Empty then
+    go r
+      (B.empty (Array.length sets))
+      (List.mapi (fun i part -> (i, part)) (Array.to_list sets))
+
 let rec for_all p = function
   | Empty -> true
   | Leaf { w; _ } -> p w

@@ -50,6 +50,17 @@ val filter_member : int -> t -> t
 (** [filter_member t ws] keeps the worlds containing transition [t] —
     the core of the multiple enabling rule (Definition 3.5). *)
 
+val iter_uniform : (t -> Petri.Bitset.t -> unit) -> t -> t array -> unit
+(** [iter_uniform f r sets], where every [sets.(i)] is a subset of [r],
+    calls [f sub members] once per maximal subtree [sub] of [r]'s trie
+    on which each [sets.(i)] is either empty or all of [sub]; [members]
+    is the set of those [i] with [sub ⊆ sets.(i)], of width
+    [Array.length sets].  The subtrees partition [r], and they come in
+    trie order, which is interning order.  With a GPN state's place
+    contents as [sets], [members] is the marking every world of [sub]
+    denotes.  One descent, carrying down only the sets not yet
+    decided. *)
+
 val iter : (world -> unit) -> t -> unit
 val fold : (world -> 'a -> 'a) -> t -> 'a -> 'a
 val for_all : (world -> bool) -> t -> bool

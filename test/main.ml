@@ -14,6 +14,7 @@ let () =
       ("reachability", Test_reachability.suite);
       ("invariant", Test_invariant.suite);
       ("world-set", Test_world_set.suite);
+      ("gpo-scan", Test_scan.suite);
       ("gpo-pinned", Test_pinned.suite);
       ("gpn-dynamics", Test_dynamics.suite);
       ("gpo-explorer", Test_explorer.suite);

@@ -159,8 +159,9 @@ let test_span_double_exit () =
   Alcotest.(check bool) "nesting intact after double exit" true
     (List.mem "outer/inner" names)
 
-(* GPO set-up (conflict analysis, alternatives, r0) and the per-state
-   enabling relation each run under a span of their own. *)
+(* GPO set-up (conflict analysis, alternatives, r0), the per-state
+   enabling relation and the scan's class descent each run under a span
+   of their own. *)
 let test_gpo_phase_spans () =
   let sink, _ = Obs.memory_sink () in
   Obs.with_sink sink (fun () ->
@@ -169,7 +170,11 @@ let test_gpo_phase_spans () =
   List.iter
     (fun path ->
       Alcotest.(check bool) (path ^ " recorded") true (List.mem path names))
-    [ "engine.gpo/gpo.setup"; "engine.gpo/gpn.worker/gpo.enabling" ]
+    [
+      "engine.gpo/gpo.setup";
+      "engine.gpo/gpn.worker/gpo.enabling";
+      "engine.gpo/gpn.worker/gpo.scan/gpo.classes";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace export                                                 *)

@@ -223,6 +223,227 @@ let test_large_node_ids () =
   Alcotest.(check int) "fig2-4 states" 2 r.E.states;
   check_all zoo
 
+(* The class descent compares trie nodes physically and keys nothing on
+   node ids: it must still equal per-world grouping once ids pass
+   2^31. *)
+let test_large_node_ids_classes () =
+  Gpn.World_set.advance_node_ids (1 lsl 31);
+  List.iter Test_scan.check_classes Test_scan.zoo
+
+(* Restart provenance, pinned at the commit before the deviation scan
+   went from one world at a time to one denotation class at a time.
+   The digests above cover run roots and witness markings but not which
+   world, state and transition a restart is attributed to.  These rows
+   pin, per net, the [gpo.deviations_scheduled] count (in (world,
+   transition) pairs) and a digest of every run's root trace and every
+   witness's deadlock trace.  Same nets and order as [zoo] and
+   [random]. *)
+let trace_digest (r : E.result) =
+  let trace ts = String.concat "," (List.map string_of_int ts) in
+  String.concat "|"
+    [
+      String.concat ";"
+        (List.map (fun run -> trace (E.root_trace r.E.ctx run)) r.E.runs);
+      String.concat ";"
+        (List.map (fun w -> trace (E.deadlock_trace r w)) r.E.deadlocks);
+    ]
+  |> Digest.string |> Digest.to_hex
+
+let c_deviations = Gpo_obs.Counter.make "gpo.deviations_scheduled"
+
+let check_provenance ~label net pinned =
+  let before = Gpo_obs.Counter.value c_deviations in
+  let r = E.analyse net in
+  Alcotest.(check (pair int string))
+    (label ^ ": deviations scheduled, trace digest")
+    pinned
+    (Gpo_obs.Counter.value c_deviations - before, trace_digest r)
+
+let zoo_provenance =
+  [
+    (0, "b2662ef75a09b5d3b842c374f3739a48");  (* fig1 *)
+    (0, "5eca99f1935e4eb10bfbf06b1621503f");  (* fig2-4 *)
+    (0, "bc64d5347bba353237d3b92cef0c34b1");  (* fig2-8 *)
+    (0, "819ce0c1d15d5575c05ea57b97087475");  (* nsdp-2 *)
+    (0, "6a52ce7e779b680e922c1f6aa80b49e6");  (* nsdp-4 *)
+    (0, "a57bdf44f6bd3fb8b2354791f2ad2508");  (* nsdp-6 *)
+    (0, "b99834bc19bbad24580b3adfa04fb947");  (* asat-2 *)
+    (0, "b99834bc19bbad24580b3adfa04fb947");  (* asat-4 *)
+    (24, "a0a78a65f18921520c1f62e1b2dbbd20");  (* over-2 *)
+    (6231, "972e8b4c8c668703ccb4c5f164690415");  (* over-4 *)
+    (2, "b99834bc19bbad24580b3adfa04fb947");  (* rw-3 *)
+    (5, "b99834bc19bbad24580b3adfa04fb947");  (* rw-6 *)
+    (0, "b99834bc19bbad24580b3adfa04fb947");  (* scheduler-3 *)
+  ]
+
+(* Indexed by [Models.Random_net.generate] seed. *)
+let random_provenance =
+  [|
+    (6, "b80854471a84a30275fe8e8747230e98");
+    (12, "fce7d0a2d9e8124af9c4cd9bb707fa91");
+    (0, "2988401715df713889e71a41c6a75fc8");
+    (0, "ef7323af4582f50d5e939a198222d68c");
+    (9, "0ca1a4934fb1e9651cd6f11211c48146");
+    (13, "76d3325f392be893732f179c3ce0399d");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (1, "2df51923aa3c71d9072e9444eb98a1f0");
+    (0, "ab91f32b5fc5797040a96dbcec113a58");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "752a11ff2b25e5f92b75102868613d4e");
+    (0, "ea54d3da746920f995be3f8be217f3a2");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "cc15d45cc04e2f8b7e1a5125a0b8707f");
+    (0, "080c048e73e622139e71cd7f59e971ad");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (11, "bc21d38811f8faf7668302d7a859c729");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (4, "b7d3d8d75586589a3144305360a3151c");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "56dd1218b190acf204f6dbc458356dab");
+    (1, "a84c50e9e620f946c27782dadf35db4c");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (24, "a58e3308b7857a1873129f3ec5764829");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "c350060328adaf73737114c9c9faea08");
+    (12, "4cd2c96c50124b51e3a34b1b2592b58e");
+    (0, "fba6207af0b750b7a508bf13543d2140");
+    (6, "6f7071737cea29f69f3c3ad7bac559d3");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "4f0f5412d591048390cfeccdbe1331eb");
+    (0, "2d43b3eb3a801422b8dd47c7373769ab");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (12, "3e2643211eb9dd6b582ec37d30c3d8b8");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "56dd1218b190acf204f6dbc458356dab");
+    (20, "31442cdff365c8d227540f27d22e9f1a");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (15, "87ff782248eaca6af73ff50357ce2438");
+    (4, "8231b757d8c5391350e82da724ee5718");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (2, "a245428d1c19a05ccc7a6d295e6024d3");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "fba6207af0b750b7a508bf13543d2140");
+    (76, "8a5d2f07cbbac8cabaa78b931cf15085");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (3, "fd95368c1dc7dfdabfc15cffb82b4ac6");
+    (39, "acbc045864cb139ac7a526b3edc4efa4");
+    (12, "9ba5aec01b43661c891b85c2729a4f47");
+    (0, "a27ca1f4662ab7dcb9d265875e6269d0");
+    (2, "963d26c2c4435a49bf9440a0add6f3d1");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (4, "b99834bc19bbad24580b3adfa04fb947");
+    (6, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "a4a21c586fd13563d8db2992afa1c6b0");
+    (4, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "ae12506fdd46702c4faf70b4cb6a2f57");
+    (3, "ff6a718402d236254f0a55fedb566cae");
+    (26, "8d1a7297db5cf94b40834ced731b43fc");
+    (2, "3b3410d1cfe4964df30f4357bae89c89");
+    (0, "a27ca1f4662ab7dcb9d265875e6269d0");
+    (0, "83b40bf17d65137b02bd33fec6fc027a");
+    (0, "fa4fecc717aab9e27177b921e58ba6a8");
+    (20, "8aa803920886eb11e3962b2b0bb003f0");
+    (0, "ef7323af4582f50d5e939a198222d68c");
+    (2, "6ef8fde1840c0c9dcd3ad49fe9fa8354");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (34, "fa21aba59c886c9d9b71b63b7db8f0e3");
+    (0, "f12fc3241bd4de276c104bf998831cdf");
+    (1, "632865bef5132b739b09731ab44ff708");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (2, "3d318ffae44284a4040cf80cfac9cdb5");
+    (0, "cc15d45cc04e2f8b7e1a5125a0b8707f");
+    (0, "fba6207af0b750b7a508bf13543d2140");
+    (30, "8702350616e6ae543c00b33d2e7ed63f");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "cc15d45cc04e2f8b7e1a5125a0b8707f");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (6, "851018a87579a14abab9b53065779b9c");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "2d610b63fadad061fc20fbdc8ae30075");
+    (0, "2d610b63fadad061fc20fbdc8ae30075");
+    (22, "3e4a3c221c02538134d364c29792995c");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "ee4c4271542b5453f5069870afc75aa6");
+    (0, "2d610b63fadad061fc20fbdc8ae30075");
+    (10, "26713a0e70859b0b24c9a61ff70e64cd");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (4, "174972d73800dd5b9eb67572343f1557");
+    (3, "715f85d88b671d0385dfec0749164c44");
+    (3, "532b22bb850a3e845f45330a756450a6");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "498cbec69e87755b0c4ee79e3e9ae7b5");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (26, "fc0a472c73fc2c84f22211a5dbee6573");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "3eca6fcded4d4cb36a0dc9caa13ba34b");
+    (12, "1feec3bbbaf632b87c441a81697b8b21");
+    (1, "b99834bc19bbad24580b3adfa04fb947");
+    (2, "101ae15b8ed3ec2ca0233324fcb3dcd5");
+    (21, "4eafad287e803f4cfb1fbbe81d3ff6cd");
+    (10, "9bfff6dbcfcf381c5c04e49740841df4");
+    (8, "6b72854b3c95fdbf9f3cfb99a6b8921a");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (6, "41a787e6c5c2351c6c8dc16e7d8d8fb7");
+    (0, "0141f051ecf8917778241fd70f2220f2");
+    (5, "b99834bc19bbad24580b3adfa04fb947");
+    (27, "e06e7093f95aaa240443a4854b3d7732");
+    (2, "e2ba2162af2b5a67265204415a051041");
+    (12, "47b0ef51672063b05b355aa5dbd9cf22");
+    (8, "3d318ffae44284a4040cf80cfac9cdb5");
+    (8, "74e6deec4a7a718ac1a45b0114e353e4");
+    (0, "7a7014fd5a83055c787e7331b26da411");
+    (2, "f70b713327c179b68c1d1ec488719246");
+    (2, "5fb7d5f9f1dffd1c5dd14a1dee9d0379");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (2, "f17ca3413adbb5bd20ca37b4b298b625");
+    (0, "b99834bc19bbad24580b3adfa04fb947");
+    (2, "6830b6995db3f6bf2d4b472f909197f0");
+    (16, "e7c1df48a7e5e42bcd7082b1e6808c76");
+    (0, "d313d0c9cdcb79cfd103b5efbd9e2734");
+    (8, "fe48aa55dac8ae9c2dbf880cdebd1ad6");
+    (8, "464b1ea66d64ea2cfd8fb5bd14b85ddc");
+  |]
+
+let test_zoo_provenance () =
+  List.iter2
+    (fun (net, _, _, _) pinned ->
+      check_provenance ~label:net.Petri.Net.name net pinned)
+    zoo zoo_provenance
+
+let test_random_provenance () =
+  Array.iteri
+    (fun seed pinned ->
+      check_provenance ~label:(Printf.sprintf "random seed %d" seed)
+        (Models.Random_net.generate seed) pinned)
+    random_provenance
+
 (* The other engines and the structural reduction, pinned at the
    commit before their ablation-only configurations were deleted: per
    conformance zoo net and its monitored variant (the net a cover
@@ -310,5 +531,10 @@ let suite =
     Alcotest.test_case "other engines and reduction on the zoo" `Quick
       test_engines;
     Alcotest.test_case "results on random nets" `Slow test_random;
+    Alcotest.test_case "restart provenance on the zoo" `Quick test_zoo_provenance;
+    Alcotest.test_case "restart provenance on random nets" `Slow
+      test_random_provenance;
     Alcotest.test_case "zoo with node ids past 2^31" `Quick test_large_node_ids;
+    Alcotest.test_case "classes with node ids past 2^31" `Quick
+      test_large_node_ids_classes;
   ]

@@ -59,23 +59,6 @@ type result = {
 
 let truncated result = result.stop <> Guard.Completed
 
-(* Per-state enabling information, computed once. *)
-type enabling = {
-  s_enab : W.t array;  (* per transition *)
-  m_enab : W.t array;  (* per transition; empty for non-choice *)
-}
-
-let enabling ctx s =
-  let net = Dynamics.net ctx in
-  let n = net.Petri.Net.n_transitions in
-  let s_enab = Array.init n (fun t -> Dynamics.s_enabled ctx t s) in
-  let choice = Dynamics.choice_transitions ctx in
-  let m_enab =
-    Array.init n (fun t ->
-        if Bitset.mem t choice then W.filter_member t s_enab.(t) else W.empty)
-  in
-  { s_enab; m_enab }
-
 (* Union of the presets of a choice transition's cluster partners:
    places whose marking decides whether a {e competitor} of [t] is
    enabled. *)
@@ -101,7 +84,8 @@ let partner_presets ctx =
    multiple-enabled and fire in a later step; the fixpoint can only
    shrink, and a singleton batch can never skip a marking, so firing
    the lowest multiple alone is always a safe last resort. *)
-let defer_unsafe_multiples ctx partner_pre en multiples singles =
+let defer_unsafe_multiples ctx partner_pre (en : Dynamics.enabling) multiples
+    singles =
   let net = Dynamics.net ctx in
   let conflict = Dynamics.conflict ctx in
   let batch_post tbatch =
@@ -177,7 +161,7 @@ let defer_unsafe_multiples ctx partner_pre en multiples singles =
    step (candidate MCSs first, matching the order of the paper's
    algorithm).  [None] when nothing is enabled; otherwise the label
    and the multiples a forced serialization skipped. *)
-let successor_label ctx partner_pre en =
+let successor_label ctx partner_pre (en : Dynamics.enabling) =
   let net = Dynamics.net ctx in
   let choice = Dynamics.choice_transitions ctx in
   let n = net.Petri.Net.n_transitions in
@@ -197,9 +181,6 @@ let successor_label ctx partner_pre en =
     let skipped = if forced then Bitset.diff !multiples fired else Bitset.empty n in
     Some ({ multiples = fired; singles = !singles }, skipped)
   end
-
-let apply ctx s { multiples; singles } =
-  Dynamics.step_fire ctx ~multiples ~singles s
 
 (* Telemetry.  Counters mirror the result record exactly (asserted by
    the test suite): [gpo.states] = [result.states], [gpo.restarts] =
@@ -304,7 +285,9 @@ let explore ?(scan = true) ?(max_states = 1_000_000) ?(max_deadlocks = 64)
         match !current with Some v -> v | None -> assert false
       in
       current := None;
-      let en = Gpo_obs.Span.time "gpo.enabling" (fun () -> enabling ctx s) in
+      let en =
+        Gpo_obs.Span.time "gpo.enabling" (fun () -> Dynamics.enabling ctx s)
+      in
       (* Opened here, so that the per-state telemetry and the dead-world
          check fall under a span too. *)
       let sp_scan = Gpo_obs.Span.enter "gpo.scan" in
@@ -330,9 +313,7 @@ let explore ?(scan = true) ?(max_states = 1_000_000) ?(max_deadlocks = 64)
       let classes =
         lazy (Gpo_obs.Span.time "gpo.classes" (fun () -> Scan.classify scanner s))
       in
-      (* Deadlock worlds: valid worlds enabling nothing. *)
-      let live = Array.fold_left W.union W.empty en.s_enab in
-      let dead = W.diff (State.valid s) live in
+      let dead = Dynamics.deadlock_worlds en s in
       if not (W.is_empty dead) then begin
         (* Candidate witness markings, pre-filtered against the
            frozen global table plus this walk's overlay.  The
@@ -393,7 +374,10 @@ let explore ?(scan = true) ?(max_states = 1_000_000) ?(max_deadlocks = 64)
              cover the "skipped transition first" interleavings by
              restarting from their firing markings. *)
           if scan then Bitset.iter (restarts ~conditional:true) skipped;
-          let s' = apply ctx s label in
+          let s' =
+            Dynamics.step_fire ctx en ~multiples:label.multiples
+              ~singles:label.singles s
+          in
           Atomic.incr total_edges;
           Gpo_obs.Counter.incr c_edges;
           if State.Table.mem visited s' then begin

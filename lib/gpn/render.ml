@@ -19,7 +19,8 @@ let result ?(max_markings = 4) (r : Explorer.result) =
         State.Table.add ids s i;
         let markings = State.mapping s in
         let shown = List.filteri (fun i _ -> i < max_markings) markings in
-        let dead = not (World_set.is_empty (Dynamics.deadlock_worlds ctx s)) in
+        let en = Dynamics.enabling ctx s in
+        let dead = not (World_set.is_empty (Dynamics.deadlock_worlds en s)) in
         let label =
           Printf.sprintf "run %d / %d world(s)\\n%s%s" run_index
             (World_set.cardinal (State.valid s))

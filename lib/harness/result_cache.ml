@@ -4,10 +4,9 @@
    The table is small (one entry per distinct question asked of a
    server process) and shared across domains, so a single probed lock
    is enough; the heavy work — running engines — never happens under
-   it.  Invalidation is generational: a memory-pressure event bumps
-   [generation] and sweeps the table immediately (the hook runs under
-   the lock), and [find] double-checks the stored generation so an
-   entry surviving a racing sweep still misses.
+   it.  A memory-pressure event bumps [generation] and sweeps the
+   table under that lock, as do every store and recovery, so the table
+   only ever holds entries of the current generation.
 
    Persistence is an opt-in append-only journal (see Journal): one
    header record carrying the semantics version, then one record per
@@ -44,7 +43,6 @@ let digest_of_key k =
 
 type entry = {
   outcome : Engine.outcome;
-  gen : int;
   net : string option;
       (* Canonical rendering of the net the outcome talks about — what
          the journal needs to re-certify the entry after a restart. *)
@@ -345,7 +343,6 @@ let attach ?(compact_bytes = 8 lsl 20) dir =
                         invalidated = List.length records;
                         torn_bytes; compacted = true }
                   | `Ok ->
-                      let gen = Atomic.get generation_cell in
                       let staged : (key, string * Engine.outcome) Hashtbl.t =
                         Hashtbl.create 64
                       in
@@ -365,7 +362,7 @@ let attach ?(compact_bytes = 8 lsl 20) dir =
                              authoritative over the disk copy. *)
                           if not (Hashtbl.mem table k) then begin
                             Hashtbl.replace table k
-                              { outcome; gen; net = Some net };
+                              { outcome; net = Some net };
                             incr recovered
                           end)
                         staged;
@@ -414,12 +411,7 @@ let evict k = Gpo_obs.Lock.with_lock lock (fun () -> evict_locked k)
 let find ?verify_net k =
   let found =
     Gpo_obs.Lock.with_lock lock (fun () ->
-        match Hashtbl.find_opt table k with
-        | Some e when e.gen = Atomic.get generation_cell -> Some e.outcome
-        | Some _ ->
-            evict_locked k;
-            None
-        | None -> None)
+        Option.map (fun e -> e.outcome) (Hashtbl.find_opt table k))
   in
   match found with
   | None ->
@@ -439,9 +431,7 @@ let store ?net_text k (o : Engine.outcome) =
   if o.Engine.stop <> Guard.Completed then false
   else begin
     Gpo_obs.Lock.with_lock lock (fun () ->
-        let e =
-          { outcome = o; gen = Atomic.get generation_cell; net = net_text }
-        in
+        let e = { outcome = o; net = net_text } in
         Hashtbl.replace table k e;
         Gpo_obs.Gauge.set_int g_size (Hashtbl.length table);
         journal_append_locked k e);

@@ -85,12 +85,11 @@ val render : key -> string
 (** Stable one-line rendering of a key (diagnostics, tests). *)
 
 val find : ?verify_net:Petri.Net.t -> key -> Engine.outcome option
-(** Look the key up.  A stale entry (generation behind the last
-    memory-pressure sweep) is evicted and misses.  With [verify_net],
-    a hit that claims a violation with a witness is re-certified by
-    replay ({!Certify.deadlock} against [verify_net]); an entry whose
-    witness no longer certifies is evicted and misses.  Counts
-    [serve.cache.hit] / [serve.cache.miss]. *)
+(** Look the key up.  With [verify_net], a hit that claims a violation
+    with a witness is re-certified by replay ({!Certify.deadlock}
+    against [verify_net]); an entry whose witness no longer certifies
+    is evicted and misses.  Counts [serve.cache.hit] /
+    [serve.cache.miss]. *)
 
 val evict : key -> unit
 (** Drop the entry under [key], if any (counted by

@@ -449,10 +449,15 @@ module Scoped = struct
         let v = f () in
         (v, List.rev !buf))
 
+  (* Inside an enclosing capture the events join its buffer, so they
+     reach the sink when (and if) that capture is replayed. *)
   let replay events =
     match !current_sink with
     | None -> ()
-    | Some sink -> with_lock sink_mutex (fun () -> List.iter sink.emit events)
+    | Some sink -> (
+        match Domain.DLS.get scoped_buffer with
+        | Some buf -> buf := List.rev_append events !buf
+        | None -> with_lock sink_mutex (fun () -> List.iter sink.emit events))
 end
 
 (* ------------------------------------------------------------------ *)

@@ -146,7 +146,11 @@ module Scoped : sig
 
   val replay : event list -> unit
   (** Emit previously captured events to the installed sink (no-op when
-      disabled).  Event timestamps are preserved from capture time. *)
+      disabled).  Inside an active capture on the calling domain the
+      events are appended to that capture's buffer instead, so a
+      replay nested in a capture (the portfolio's winner, inside a
+      service request) lands in the enclosing stream.  Event
+      timestamps are preserved from capture time. *)
 end
 
 (** Named monotonic counters. *)

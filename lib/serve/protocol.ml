@@ -72,11 +72,12 @@ let field name json =
   | Some v -> Stdlib.Ok v
   | None -> Stdlib.Error (Printf.sprintf "missing field %S" name)
 
-let string_field name json =
-  match J.member name json with
-  | Some (J.String s) -> Stdlib.Ok s
-  | Some _ -> Stdlib.Error (Printf.sprintf "field %S: expected string" name)
-  | None -> Stdlib.Error (Printf.sprintf "missing field %S" name)
+let string_field ?default name json =
+  match (J.member name json, default) with
+  | Some (J.String s), _ -> Stdlib.Ok s
+  | (None | Some J.Null), Some d -> Stdlib.Ok d
+  | None, None -> Stdlib.Error (Printf.sprintf "missing field %S" name)
+  | Some _, _ -> Stdlib.Error (Printf.sprintf "field %S: expected string" name)
 
 let opt_default default = function Some v -> v | None -> default
 
@@ -91,6 +92,16 @@ let bool_field ?default name json =
   | Some (J.Bool b), _ -> Stdlib.Ok b
   | (None | Some J.Null), Some d -> Stdlib.Ok d
   | _, _ -> Stdlib.Error (Printf.sprintf "field %S: expected bool" name)
+
+(* A field whose absence (or [null]) means "none". *)
+let option_field name ~expected decode json =
+  match J.member name json with
+  | None | Some J.Null -> Stdlib.Ok None
+  | Some v -> (
+      match decode v with
+      | Some x -> Stdlib.Ok (Some x)
+      | None ->
+          Stdlib.Error (Printf.sprintf "field %S: expected %s" name expected))
 
 let json_of_net_source = function
   | Inline text -> J.Obj [ ("inline", J.String text) ]
@@ -136,24 +147,22 @@ let job_of_json json =
           items (Stdlib.Ok [])
     | Some _ -> Stdlib.Error "cover: expected a list of place names"
   in
-  let id =
-    match J.member "id" json with Some (J.String s) -> s | _ -> ""
-  in
-  let engine =
-    match J.member "engine" json with Some (J.String s) -> s | _ -> "gpo"
-  in
+  let* id = string_field ~default:"" "id" json in
+  let* engine = string_field ~default:"gpo" "engine" json in
   let* max_states = int_field ~default:5_000_000 "max_states" json in
   let* witness = bool_field ~default:true "witness" json in
   let* reduce = bool_field ~default:false "reduce" json in
   let* jobs = int_field ~default:1 "jobs" json in
-  let timeout_s =
-    match J.member "timeout_s" json with
-    | Some (J.Float f) -> Some f
-    | Some (J.Int i) -> Some (float_of_int i)
-    | _ -> None
+  let* timeout_s =
+    option_field "timeout_s" ~expected:"number"
+      (function
+        | J.Float f -> Some f | J.Int i -> Some (float_of_int i) | _ -> None)
+      json
   in
-  let mem_mb =
-    match J.member "mem_mb" json with Some (J.Int i) -> Some i | _ -> None
+  let* mem_mb =
+    option_field "mem_mb" ~expected:"int"
+      (function J.Int i -> Some i | _ -> None)
+      json
   in
   Stdlib.Ok
     { id; net; cover; engine; max_states; witness; reduce; jobs; timeout_s;

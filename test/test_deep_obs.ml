@@ -354,6 +354,34 @@ let test_scoped_capture_no_loss () =
   Alcotest.(check int) "four distinct domain tags survive replay" 4
     (List.length doms)
 
+(* A replay inside a capture joins that capture: the inner events land
+   in the outer buffer, in order, and reach the sink only when the
+   outer buffer is replayed. *)
+let test_scoped_replay_nested () =
+  let sink, read = Obs.memory_sink () in
+  let instants events =
+    List.filter_map
+      (fun e -> if e.Obs.kind = Obs.Instant_v then Some e.Obs.name else None)
+      events
+  in
+  Obs.with_sink sink (fun () ->
+      let (), outer =
+        Obs.Scoped.capture (fun () ->
+            Obs.instant "before" [];
+            let (), inner = Obs.Scoped.capture (fun () -> emit_burst 3) in
+            Obs.Scoped.replay inner;
+            Obs.instant "after" [])
+      in
+      Alcotest.(check (list string)) "nothing reached the sink" []
+        (instants (read ()));
+      Alcotest.(check (list string)) "outer buffer holds the inner events"
+        [ "before"; "burst"; "burst"; "burst"; "after" ]
+        (instants outer);
+      Obs.Scoped.replay outer;
+      Alcotest.(check (list string)) "the outer replay reaches the sink"
+        [ "before"; "burst"; "burst"; "burst"; "after" ]
+        (instants (read ())))
+
 let suite =
   [
     Alcotest.test_case "hist bucketing" `Quick test_hist_bucketing;
@@ -373,4 +401,6 @@ let suite =
       test_lock_contention_probe;
     Alcotest.test_case "scoped capture no loss" `Quick
       test_scoped_capture_no_loss;
+    Alcotest.test_case "scoped replay inside a capture joins it" `Quick
+      test_scoped_replay_nested;
   ]

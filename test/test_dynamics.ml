@@ -46,7 +46,10 @@ let test_fig3_replay () =
     (Gpn.Dynamics.m_enabled ctx (t "B") s0);
   (* Fire A and B simultaneously (Figure 3(b)). *)
   let ab = B.of_list net.Petri.Net.n_transitions [ t "A"; t "B" ] in
-  let s1 = Gpn.Dynamics.multiple_fire ctx ab s0 in
+  let s1 =
+    Gpn.Dynamics.step_fire ctx (Gpn.Dynamics.enabling ctx s0) ~multiples:ab
+      ~singles:[] s0
+  in
   Gpn.Dynamics.check_invariant ctx s1;
   check_ws net "p2 red" [ [ "A"; "C" ]; [ "A"; "D" ] ] (Gpn.State.marking s1 (p "p2"));
   check_ws net "p3 red" [ [ "A"; "C" ]; [ "A"; "D" ] ] (Gpn.State.marking s1 (p "p3"));
@@ -60,12 +63,16 @@ let test_fig3_replay () =
   (* The state denotes both classical markings of the original graph. *)
   Alcotest.(check int) "two denoted markings" 2 (List.length (Gpn.State.mapping s1));
   (* The B-worlds are deadlocked at {p4}: the B branch is stuck. *)
-  let dead = Gpn.Dynamics.deadlock_worlds ctx s1 in
+  let dead = Gpn.Dynamics.deadlock_worlds (Gpn.Dynamics.enabling ctx s1) s1 in
   check_ws net "dead worlds" [ [ "B"; "C" ]; [ "B"; "D" ] ] dead;
   check_marking net "dead denotation" [ "p4" ]
     (Gpn.State.denoted_marking s1 (world net [ "B"; "C" ]));
   (* Fire C (Figure 3(c)): the red token moves to p5. *)
-  let s2 = Gpn.Dynamics.multiple_fire ctx (B.singleton net.Petri.Net.n_transitions (t "C")) s1 in
+  let s2 =
+    Gpn.Dynamics.step_fire ctx (Gpn.Dynamics.enabling ctx s1)
+      ~multiples:(B.singleton net.Petri.Net.n_transitions (t "C"))
+      ~singles:[] s1
+  in
   check_ws net "p5 red" [ [ "A"; "C" ] ] (Gpn.State.marking s2 (p "p5"));
   check_ws net "r2 keeps only the fired world" [ [ "A"; "C" ] ] (Gpn.State.valid s2)
 
@@ -127,9 +134,9 @@ let test_fig7_replay () =
     (Gpn.Dynamics.m_enabled ctx (t "B") s0);
   Alcotest.(check int) "mapping(s0) = {m0}" 1 (List.length (Gpn.State.mapping s0));
   let s1 =
-    Gpn.Dynamics.multiple_fire ctx
-      (B.of_list net.Petri.Net.n_transitions [ t "A"; t "B" ])
-      s0
+    Gpn.Dynamics.step_fire ctx (Gpn.Dynamics.enabling ctx s0)
+      ~multiples:(B.of_list net.Petri.Net.n_transitions [ t "A"; t "B" ])
+      ~singles:[] s0
   in
   (* r1 = r0: the first simultaneous firing does not restrict r. *)
   Alcotest.(check bool) "r1 = r0" true
@@ -150,9 +157,9 @@ let test_fig7_replay () =
   check_ws net "m_enabled(D) at s1" [ [ "B"; "D" ] ]
     (Gpn.Dynamics.m_enabled ctx (t "D") s1);
   let s2 =
-    Gpn.Dynamics.multiple_fire ctx
-      (B.of_list net.Petri.Net.n_transitions [ t "C"; t "D" ])
-      s1
+    Gpn.Dynamics.step_fire ctx (Gpn.Dynamics.enabling ctx s1)
+      ~multiples:(B.of_list net.Petri.Net.n_transitions [ t "C"; t "D" ])
+      ~singles:[] s1
   in
   (* The extra conditioning rules out {A,D} and {B,C}: the extended
      conflict of the paper. *)
@@ -202,18 +209,6 @@ let test_non_choice_transitions_not_in_labels () =
     (fun v -> Alcotest.(check bool) "world within choice" true (B.subset v choice))
     (Gpn.State.valid (Gpn.Dynamics.initial ctx))
 
-let test_batch_single_fire_equals_sequential () =
-  let net = Models.Figures.fig1 in
-  let ctx = Gpn.Dynamics.make net in
-  let s0 = Gpn.Dynamics.initial ctx in
-  let ts = [ 0; 1; 2 ] in
-  let batched = Gpn.Dynamics.batch_single_fire ctx ts s0 in
-  let sequential =
-    List.fold_left (fun s t -> Gpn.Dynamics.single_fire ctx t s) s0 ts
-  in
-  Alcotest.(check bool) "batch = sequential composition" true
-    (Gpn.State.equal batched sequential)
-
 let test_step_fire_combines () =
   (* fig2(1) plus an independent conflict-free transition: one step can
      fire the conflicting pair (multiple rule) and the free transition
@@ -231,7 +226,7 @@ let test_step_fire_combines () =
   let ctx = Gpn.Dynamics.make net in
   let s0 = Gpn.Dynamics.initial ctx in
   let s1 =
-    Gpn.Dynamics.step_fire ctx
+    Gpn.Dynamics.step_fire ctx (Gpn.Dynamics.enabling ctx s0)
       ~multiples:(B.of_list net.Petri.Net.n_transitions [ ta; tb ])
       ~singles:[ tu ] s0
   in
@@ -341,8 +336,6 @@ let suite =
     Alcotest.test_case "initial construction" `Quick test_initial_construction;
     Alcotest.test_case "labels mention only choice transitions" `Quick
       test_non_choice_transitions_not_in_labels;
-    Alcotest.test_case "batch single = sequential" `Quick
-      test_batch_single_fire_equals_sequential;
     Alcotest.test_case "combined step" `Quick test_step_fire_combines;
     Alcotest.test_case "initial of marking" `Quick test_initial_of_marking;
     Alcotest.test_case "cluster alternatives = brute force" `Quick

@@ -393,6 +393,25 @@ let test_hard_drain_reaches_portfolio () =
         rs
   | _ -> Alcotest.fail "drained batch still returns results"
 
+(* The portfolio replays its winner's captured events inside the job's
+   own capture, so the job's metrics carry the winning engine's spans
+   the way a single-engine job's do. *)
+let test_portfolio_metrics_carry_engine_spans () =
+  with_scheduler ~jobs:1 @@ fun sched ->
+  let r =
+    submit_one sched
+      (P.job ~engine:"portfolio" (P.Model { id = "nsdp"; size = 5 }))
+  in
+  check_ok r;
+  let spans =
+    match J.member "spans" r.P.metrics with
+    | Some (J.Obj spans) -> List.map fst spans
+    | _ -> Alcotest.fail "metrics summary lists no spans"
+  in
+  if not (List.exists (Astring_contains.contains "engine.") spans) then
+    Alcotest.failf "no engine span in the portfolio job's metrics: %s"
+      (String.concat ", " spans)
+
 (* ------------------------------------------------------------------ *)
 (* Fault injection at serve.request: contained, never poisons          *)
 
@@ -514,6 +533,49 @@ let test_protocol_roundtrip () =
       P.Timed_out;
       P.Error "bad json";
     ]
+
+(* A submit whose job carries a field of the wrong type is an error,
+   never a job run with the field's default. *)
+let test_protocol_rejects_mistyped_fields () =
+  let submit field value =
+    J.Obj
+      [
+        ("op", J.String "submit");
+        ( "jobs",
+          J.List
+            [
+              J.Obj
+                [
+                  ("net", J.Obj [ ("model", J.String "nsdp"); ("size", J.Int 3) ]);
+                  (field, value);
+                ];
+            ] );
+      ]
+  in
+  List.iter
+    (fun (field, value, expected) ->
+      match P.request_of_json (submit field value) with
+      | Ok _ -> Alcotest.failf "field %S of the wrong type was accepted" field
+      | Error msg ->
+          Alcotest.(check string) field
+            (Printf.sprintf "field %S: expected %s" field expected)
+            msg)
+    [
+      ("engine", J.Int 5, "string");
+      ("id", J.Int 7, "string");
+      ("timeout_s", J.String "soon", "number");
+      ("mem_mb", J.String "lots", "int");
+    ];
+  (* A null field keeps its default. *)
+  List.iter
+    (fun field ->
+      match P.request_of_json (submit field J.Null) with
+      | Ok (P.Submit [ j ]) ->
+          Alcotest.(check bool) (field ^ ": null keeps the default") true
+            (j = P.job (P.Model { id = "nsdp"; size = 3 }))
+      | Ok _ -> Alcotest.fail "submit shape"
+      | Error msg -> Alcotest.failf "field %S: null rejected: %s" field msg)
+    [ "engine"; "id"; "timeout_s"; "mem_mb" ]
 
 let outcome ?(deadlock = false) ?(stop = Guard.Completed) ?witness () =
   { Harness.Engine.kind = Harness.Engine.Gpo; states = 1.; metric = 1.;
@@ -933,6 +995,8 @@ let suite =
       test_chaos_sweep_cache_integrity;
     Alcotest.test_case "wire protocol roundtrips" `Quick
       test_protocol_roundtrip;
+    Alcotest.test_case "wire decoder rejects wrongly typed job fields" `Quick
+      test_protocol_rejects_mistyped_fields;
     Alcotest.test_case "verdict mapping follows the exit-code contract"
       `Quick test_verdict_mapping;
     Alcotest.test_case "submit's fold: a rejected witness is untrusted"
@@ -964,4 +1028,6 @@ let suite =
       test_retry_rides_out_restart;
     Alcotest.test_case "a hard drain cancels portfolio jobs too" `Quick
       test_hard_drain_reaches_portfolio;
+    Alcotest.test_case "a portfolio job's metrics carry its winner's engine spans"
+      `Quick test_portfolio_metrics_carry_engine_spans;
   ]

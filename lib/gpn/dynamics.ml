@@ -60,7 +60,7 @@ let maximal_independent_sets conflict members =
   bron_kerbosch (Bitset.empty width) members (Bitset.empty width);
   List.sort Bitset.compare !results
 
-let make ?conflict (net : Petri.Net.t) =
+let make ?guard ?conflict (net : Petri.Net.t) =
   Gpo_obs.Span.time "gpo.setup" @@ fun () ->
   let conflict =
     match conflict with Some c -> c | None -> Petri.Conflict.analyse net
@@ -76,7 +76,7 @@ let make ?conflict (net : Petri.Net.t) =
       end)
     (Petri.Conflict.clusters conflict);
   let alternatives = List.rev !alternatives in
-  let r0 = W.product n (List.map W.of_list alternatives) in
+  let r0 = W.product ?guard n (List.map W.of_list alternatives) in
   let m0 =
     Array.init net.n_places (fun p ->
         if Bitset.mem p net.initial then r0 else W.empty)

@@ -8,7 +8,7 @@
    run.  The deviation scan itself, per denotation class, is [Scan].
 
    The engine is domain-safe end to end: world sets shard their
-   hash-consing tables and keep their memo caches domain-local (see
+   hash-consing tables and share one lock-free computed table (see
    world_set.ml), [Bitset.intern] is striped, and the explorer's own
    per-analysis state is either walk-local or touched only by the
    coordinating domain between waves.  Analyses run concurrently (the
@@ -554,9 +554,12 @@ let explore ?(scan = true) ?(max_states = 1_000_000) ?(max_deadlocks = 64)
        else Guard.Completed);
   }
 
+(* The set-up polls [guard] too: r0, the product of the cluster
+   alternatives, can take longer than the exploration.  A trip there has
+   no run to return, so [Guard.Interrupted] escapes to the caller. *)
 let analyse ?scan ?max_states ?max_deadlocks ?jobs ?guard net =
   explore ?scan ?max_states ?max_deadlocks ?jobs ?guard
-    (Dynamics.make net)
+    (Dynamics.make ?guard net)
 
 let deadlock_free result = result.deadlocks = []
 

@@ -49,13 +49,23 @@ let result ?(max_markings = 4) (r : Explorer.result) =
   in
   List.iteri
     (fun run_index (run : Explorer.run) ->
-      (* Edges of the run, reconstructed from the predecessor map. *)
+      (* A run is a path: emit it forward from its initial state, so the
+         output follows the run and not the hash order of the
+         predecessor map (state hashes are built from node ids). *)
+      let successor = State.Table.create (State.Table.length run.predecessor) in
       State.Table.iter
-        (fun s' (label, s) ->
-          out "  s%d -> s%d [label=\"%s\"];\n" (id_of run_index s)
-            (id_of run_index s') (label_of label))
+        (fun s' (label, s) -> State.Table.replace successor s (label, s'))
         run.predecessor;
-      ignore (id_of run_index run.initial);
+      let rec walk s =
+        let i = id_of run_index s in
+        match State.Table.find_opt successor s with
+        | None -> ()
+        | Some (label, s') ->
+            let i' = id_of run_index s' in
+            out "  s%d -> s%d [label=\"%s\"];\n" i i' (label_of label);
+            walk s'
+      in
+      walk run.initial;
       (* Restart provenance. *)
       match run.origin with
       | Explorer.Init -> ()

@@ -9,17 +9,15 @@
    - [hash] and [compare] read a stored per-node id (O(1));
    - [cardinal] is stored in every branch (O(1));
    - the set algebra ([union]/[inter]/[diff]/[filter_member]) is
-     memoized in bounded caches keyed on node-id pairs, with
-     pointer-equality short-circuits ([union x x = x], and rebuilds
-     that reproduce an operand — the subset cases — return the operand
-     itself without allocating).
+     memoized in one fixed-size computed table keyed on the operation
+     and both node ids, with pointer-equality short-circuits
+     ([union x x = x], and rebuilds that reproduce an operand — the
+     subset cases — return the operand itself without allocating).
 
    The unique table is weak: nodes unreachable from any live state are
    reclaimed by the GC, so long exploration runs do not accumulate
-   garbage canonical forms.  Memo caches are strong but bounded — when
-   a cache reaches its bound it is dropped wholesale (the next misses
-   rebuild the useful entries).  Node ids are never reused, so stale
-   cache entries keyed on collected nodes can only miss, never alias. *)
+   garbage canonical forms.  The computed table is strong but has a
+   fixed number of slots, each overwritten by the next store to it. *)
 
 module B = Petri.Bitset
 
@@ -98,81 +96,61 @@ let branch0 prefix bit l r =
   match (l, r) with Empty, t | t, Empty -> t | _ -> branch prefix bit l r
 
 (* ------------------------------------------------------------------ *)
-(* Memo caches                                                         *)
+(* The computed table                                                  *)
 
-let cache_bound = 1 lsl 17
+(* The set algebra shares one process-wide computed table, the op cache
+   of decision-diagram packages (Brace, Rudell & Bryant, DAC 1990): a
+   fixed array of immutable entries indexed by a hash of the operation
+   and both operand ids (for [filter_member], the transition and the
+   node id).  A store overwrites its slot and a lookup that finds
+   another key misses: there is no eviction policy.  Node ids are never
+   reused and a key keeps both (past 2^31 ids a pair no longer packs
+   into one int), so an entry can miss but never alias.
 
-(* A memo entry is keyed on its two operands' ids (for [filter_member],
-   the transition and the node id).  Node ids are process-wide and never
-   reused, so a long-lived process passes 2^31 of them and a pair of ids
-   no longer packs into one int: the key keeps both.  A probe fills the
-   domain's scratch key instead of allocating one; only a store copies
-   it. *)
-type key = { mutable ka : int; mutable kb : int }
+   Domains share the table without a lock.  An entry is published by
+   one array store and OCaml 5 bounds data races, so a lookup reads
+   some entry that was actually stored; it checks the whole key, and
+   every result is a canonical node, so a hit computed on any domain is
+   right.  A lost entry costs recomputation only: within one trie
+   operation each pair of subtrees is visited at most once.  The first
+   store allocates the array, so a process that never runs the set
+   algebra pays nothing; if two domains allocate at once, one array
+   wins and the other's entries are lost.
 
-module Memo = Hashtbl.Make (struct
-  type t = key
+   [inter], [diff] and [filter_member] on operands of fewer than 8
+   worlds in all skip the table and count a miss: their result is a
+   subset of an operand, mostly the operand, a leaf or [Empty], cheaper
+   to recompute than the slot it would take from a larger result.  A
+   union of small sets builds nodes, so every union is cached. *)
 
-  let equal x y = x.ka = y.ka && x.kb = y.kb
-  let hash k = ((k.ka * 0x9E3779B1) + k.kb) land max_int
-end)
+type entry = { op : int; a : int; b : int; result : t }
 
-(* Memoization never takes a lock: each domain owns its four memo
-   tables in domain-local storage, so the recursive set algebra only
-   ever touches tables no other domain can see.
+let op_union = 0 and op_inter = 1 and op_diff = 2 and op_filter = 3
+let min_size = [| 0; 8; 8; 8 |] (* by op *)
+let table_size = 1 lsl 16
+let no_entry = { op = -1; a = 0; b = 0; result = Empty }
+let table = ref [||]
 
-   Cross-domain invalidation (Guard.on_memory_pressure must drop every
-   domain's cache, not just the caller's) works by generation: a global
-   counter is bumped by [clear_caches]; each domain lazily resets its
-   tables when it next observes a stale generation.  Node ids are never
-   reused, so a stale entry that survives until then can only miss,
-   never alias. *)
+let slot op a b =
+  let h = ((((a * 0x9E3779B1) + b) * 0x85EBCA77) + op) land max_int in
+  (h lxor (h lsr 32)) land (table_size - 1)
 
-type caches = {
-  mutable gen : int;
-  probe : key;
-  union_c : t Memo.t;
-  inter_c : t Memo.t;
-  diff_c : t Memo.t;
-  filter_c : t Memo.t;
-}
+let lookup op size a b =
+  let tbl = !table in
+  if size < min_size.(op) || Array.length tbl = 0 then None
+  else
+    let e = tbl.(slot op a b) in
+    if e.a = a && e.b = b && e.op = op then Some e.result else None
 
-let cache_gen = Atomic.make 0
-
-let caches_key =
-  Domain.DLS.new_key (fun () ->
-      {
-        gen = Atomic.get cache_gen;
-        probe = { ka = 0; kb = 0 };
-        union_c = Memo.create 4096;
-        inter_c = Memo.create 4096;
-        diff_c = Memo.create 4096;
-        filter_c = Memo.create 4096;
-      })
-
-let reset_caches c =
-  Memo.reset c.union_c;
-  Memo.reset c.inter_c;
-  Memo.reset c.diff_c;
-  Memo.reset c.filter_c
-
-let local_caches () =
-  let c = Domain.DLS.get caches_key in
-  let g = Atomic.get cache_gen in
-  if c.gen <> g then begin
-    c.gen <- g;
-    reset_caches c
-  end;
-  c
-
-let cache_find c tbl a b =
-  c.probe.ka <- a;
-  c.probe.kb <- b;
-  Memo.find_opt tbl c.probe
-
-let cache_store tbl a b v =
-  if Memo.length tbl >= cache_bound then Memo.reset tbl;
-  Memo.add tbl { ka = a; kb = b } v
+let store op size a b result =
+  if size >= min_size.(op) then begin
+    let tbl =
+      match !table with
+      | [||] -> let t = Array.make table_size no_entry in table := t; t
+      | t -> t
+    in
+    tbl.(slot op a b) <- { op; a; b; result }
+  end
 
 let c_union_hit = Gpo_obs.Counter.make "worldset.union.cache_hit"
 let c_union_miss = Gpo_obs.Counter.make "worldset.union.cache_miss"
@@ -184,15 +162,9 @@ let c_filter_hit = Gpo_obs.Counter.make "worldset.filter.cache_hit"
 let c_filter_miss = Gpo_obs.Counter.make "worldset.filter.cache_miss"
 
 let touch_stats () =
-  Gpo_obs.Counter.touch c_nodes;
-  Gpo_obs.Counter.touch c_union_hit;
-  Gpo_obs.Counter.touch c_union_miss;
-  Gpo_obs.Counter.touch c_inter_hit;
-  Gpo_obs.Counter.touch c_inter_miss;
-  Gpo_obs.Counter.touch c_diff_hit;
-  Gpo_obs.Counter.touch c_diff_miss;
-  Gpo_obs.Counter.touch c_filter_hit;
-  Gpo_obs.Counter.touch c_filter_miss
+  List.iter Gpo_obs.Counter.touch
+    [ c_nodes; c_union_hit; c_union_miss; c_inter_hit; c_inter_miss;
+      c_diff_hit; c_diff_miss; c_filter_hit; c_filter_miss ]
 
 (* ------------------------------------------------------------------ *)
 (* Big-endian Patricia plumbing (Okasaki & Gill; Filliâtre's Ptset).
@@ -262,7 +234,7 @@ let rec remove_key k t =
 (* ------------------------------------------------------------------ *)
 (* Set algebra                                                         *)
 
-let rec union_in c s t =
+let rec union s t =
   if s == t then s
   else
     match (s, t) with
@@ -274,13 +246,12 @@ let rec union_in c s t =
            structural cases above stay probe-free. *)
         Guard.Fault.probe "worldset.op";
         let a = Int.min sb.uid tb.uid and b = Int.max sb.uid tb.uid in
-        match cache_find c c.union_c a b with
+        match lookup op_union (sb.card + tb.card) a b with
         | Some r ->
             Gpo_obs.Counter.incr c_union_hit;
             r
         | None ->
             Gpo_obs.Counter.incr c_union_miss;
-            let union = union_in c in
             let r =
               if sb.bit = tb.bit && sb.prefix = tb.prefix then begin
                 let l = union sb.l tb.l and r' = union sb.r tb.r in
@@ -310,11 +281,11 @@ let rec union_in c s t =
                 end
               else join sb.prefix s tb.prefix t
             in
-            cache_store c.union_c a b r;
+            store op_union (sb.card + tb.card) a b r;
             r
       end
 
-let rec inter_in c s t =
+let rec inter s t =
   if s == t then s
   else
     match (s, t) with
@@ -323,13 +294,12 @@ let rec inter_in c s t =
     | s, (Leaf { key; _ } as lf) -> if mem_key key s then lf else Empty
     | Branch sb, Branch tb -> begin
         let a = Int.min sb.uid tb.uid and b = Int.max sb.uid tb.uid in
-        match cache_find c c.inter_c a b with
+        match lookup op_inter (sb.card + tb.card) a b with
         | Some r ->
             Gpo_obs.Counter.incr c_inter_hit;
             r
         | None ->
             Gpo_obs.Counter.incr c_inter_miss;
-            let inter = inter_in c in
             let r =
               if sb.bit = tb.bit && sb.prefix = tb.prefix then begin
                 let l = inter sb.l tb.l and r' = inter sb.r tb.r in
@@ -345,11 +315,11 @@ let rec inter_in c s t =
               then inter s (if zero_bit sb.prefix tb.bit then tb.l else tb.r)
               else Empty
             in
-            cache_store c.inter_c a b r;
+            store op_inter (sb.card + tb.card) a b r;
             r
       end
 
-let rec diff_in c s t =
+let rec diff s t =
   if s == t then Empty
   else
     match (s, t) with
@@ -358,13 +328,12 @@ let rec diff_in c s t =
     | (Leaf { key; _ } as lf), t -> if mem_key key t then Empty else lf
     | s, Leaf { key; _ } -> remove_key key s
     | Branch sb, Branch tb -> begin
-        match cache_find c c.diff_c sb.uid tb.uid with
+        match lookup op_diff (sb.card + tb.card) sb.uid tb.uid with
         | Some r ->
             Gpo_obs.Counter.incr c_diff_hit;
             r
         | None ->
             Gpo_obs.Counter.incr c_diff_miss;
-            let diff = diff_in c in
             let r =
               if sb.bit = tb.bit && sb.prefix = tb.prefix then begin
                 let l = diff sb.l tb.l and r' = diff sb.r tb.r in
@@ -384,13 +353,9 @@ let rec diff_in c s t =
               then diff s (if zero_bit sb.prefix tb.bit then tb.l else tb.r)
               else s
             in
-            cache_store c.diff_c sb.uid tb.uid r;
+            store op_diff (sb.card + tb.card) sb.uid tb.uid r;
             r
       end
-
-let union s t = union_in (local_caches ()) s t
-let inter s t = inter_in (local_caches ()) s t
-let diff s t = diff_in (local_caches ()) s t
 
 let rec subset s t =
   s == t
@@ -408,13 +373,12 @@ let rec subset s t =
       else false
 
 let filter_member tr s =
-  let c = local_caches () in
   let rec go s =
     match s with
     | Empty -> Empty
     | Leaf { w; _ } -> if B.mem tr w then s else Empty
     | Branch b -> begin
-        match cache_find c c.filter_c tr b.uid with
+        match lookup op_filter b.card tr b.uid with
         | Some r ->
             Gpo_obs.Counter.incr c_filter_hit;
             r
@@ -422,7 +386,7 @@ let filter_member tr s =
             Gpo_obs.Counter.incr c_filter_miss;
             let l = go b.l and r' = go b.r in
             let r = if l == b.l && r' == b.r then s else branch0 b.prefix b.bit l r' in
-            cache_store c.filter_c tr b.uid r;
+            store op_filter b.card tr b.uid r;
             r
       end
   in
@@ -524,17 +488,21 @@ let elements t =
 (* Bottom-up: the worlds are interned once and sorted by key, and each
    trie node is consed once.  Splitting a sorted run of keys at the
    highest bit on which its ends differ yields exactly the canonical
-   trie that inserting the worlds one by one would. *)
-let of_list worlds =
+   trie that inserting the worlds one by one would.  The guard is
+   polled once per 4 096 worlds interned and at every trie node over
+   4 096 worlds, so a set built in milliseconds never polls. *)
+let of_list_guarded ?guard worlds =
+  let poll i = if i land 4095 = 4095 then Guard.check_now ?guard () in
   (* Equal worlds intern to one leaf. *)
   let leaves =
     Array.of_list
       (List.sort_uniq
          (fun a b -> Int.compare (B.id a) (B.id b))
-         (List.map B.intern worlds))
+         (List.mapi (fun i w -> poll i; B.intern w) worlds))
   in
   let key i = B.id leaves.(i) in
   let rec build lo hi =
+    if hi - lo > 4096 then Guard.check_now ?guard ();
     if hi - lo = 1 then leaf leaves.(lo)
     else begin
       let bit = branching_bit (key lo) (key (hi - 1)) in
@@ -545,11 +513,13 @@ let of_list worlds =
   in
   if Array.length leaves = 0 then Empty else build 0 (Array.length leaves)
 
+let of_list worlds = of_list_guarded worlds
+
 (* One pass: the product's worlds are plain bit-set unions, and only
    the final ones are interned (two factors may union to the same
-   world; [of_list] keeps one). *)
-let product width factors =
-  of_list
+   world; [of_list_guarded] keeps one). *)
+let product ?guard width factors =
+  of_list_guarded ?guard
     (List.fold_left
        (fun prefixes factor ->
          List.concat_map
@@ -564,19 +534,14 @@ let pp ?name () ppf ws =
        (B.pp ?name ()))
     (elements ws)
 
-let clear_caches () =
-  (* Bump the generation so every other domain resets its local tables
-     the next time it touches them; the caller's tables are dropped
-     immediately. *)
-  Atomic.incr cache_gen;
-  let c = Domain.DLS.get caches_key in
-  c.gen <- Atomic.get cache_gen;
-  reset_caches c
+(* Every domain reads the one table, so dropping it reaches them all;
+   the next store allocates a fresh one. *)
+let clear_caches () = table := [||]
 
 let rec advance_node_ids n =
   let cur = Atomic.get next_uid in
   if cur < n && not (Atomic.compare_and_set next_uid cur n) then advance_node_ids n
 
-(* Under memory pressure the memo tables are the recoverable ballast:
-   dropping them costs recomputation, not correctness. *)
+(* Under memory pressure the computed table is the recoverable
+   ballast: dropping it costs recomputation, not correctness. *)
 let () = Guard.on_memory_pressure clear_caches

@@ -11,8 +11,8 @@
     ids ({!Petri.Bitset.id}) of its member worlds, with trie nodes
     canonicalized through a weak unique table.  Structurally equal sets
     are physically equal, [hash] and [cardinal] are O(1), and the set
-    algebra is memoized in bounded per-domain caches.  See DESIGN.md,
-    "The interning layer". *)
+    algebra is memoized in one fixed-size computed table shared by every
+    domain.  See DESIGN.md, "The interning layer". *)
 
 type t
 
@@ -71,12 +71,15 @@ val elements : t -> world list
 
 val of_list : world list -> t
 
-val product : int -> t list -> t
+val product : ?guard:Guard.t -> int -> t list -> t
 (** [product width factors] is the set of unions [w1 ∪ ... ∪ wk] for
     every choice of [wi] in the [i]-th factor — used to build the
     initial valid sets [r0] as the product of per-cluster alternatives.
     [width] is the bit-set width used when [factors] is empty (the
-    result is then the singleton of the empty world). *)
+    result is then the singleton of the empty world).  A product can
+    hold hundreds of thousands of worlds, so it polls [guard] once per
+    4 096 worlds it interns and at every trie node over 4 096 worlds; a
+    trip raises {!Guard.Interrupted}. *)
 
 val touch_stats : unit -> unit
 (** Mark the [worldset.*] telemetry counters active so they appear in
@@ -86,11 +89,11 @@ val pp : ?name:(int -> string) -> unit -> Format.formatter -> t -> unit
 (** Pretty-print as [{{a,b},{c}}] with element names. *)
 
 val clear_caches : unit -> unit
-(** Drop the memo caches (union/inter/diff/filter_member): the calling
-    domain's tables immediately, every other domain's tables the next
-    time that domain performs a set operation (a generation bump).
-    Canonical forms are unaffected; used by {!Guard.on_memory_pressure}
-    and by benchmarks to measure cold starts. *)
+(** Drop the computed table that memoizes union/inter/diff/filter_member.
+    Every domain reads the one table, so this reaches them all at once;
+    the next store allocates a fresh one.  Canonical forms are
+    unaffected; used by {!Guard.on_memory_pressure} and by benchmarks
+    to measure cold starts. *)
 
 val advance_node_ids : int -> unit
 (** [advance_node_ids n] makes every trie node created from now on take

@@ -58,7 +58,9 @@ val describe_stop : stop_reason -> string
 exception Interrupted of stop_reason
 (** Raised by {!poll} when a guard has tripped.  Engines catch this
     around their step loop and return a partial result carrying the
-    reason; only a witness walk ({!check_cancelled}) lets it escape. *)
+    reason.  Two callers let it escape: a witness walk
+    ({!check_cancelled}), and GPO's set-up, which has no run to return
+    yet when it trips while building a large initial world set. *)
 
 type t
 

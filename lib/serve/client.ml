@@ -86,12 +86,15 @@ let with_connection ?io_timeout_s endpoint f =
 (* Sleep uniformly in [0, backoff_ms * 2^attempt] (capped at 10 s) —
    full jitter spreads a thundering herd of restarting clients instead
    of synchronising it.  Only typed-transient failures are retried:
-   the server's queue_full rejection (shed load, come back later), a
-   refused connection (daemon restarting), and deadline expiry.  Safe
-   because every request is idempotent — a question about
-   content-addressed state, not a mutation. *)
+   a refused connection (daemon restarting), deadline expiry, and the
+   server's queue_full rejection of a batch that fits the limit (shed
+   load, come back later).  A batch larger than the limit is refused
+   at any depth, so re-sending it cannot help.  Safe because every
+   request is idempotent — a question about content-addressed state,
+   not a mutation. *)
 let retryable = function
-  | Ok (Protocol.Rejected { reason = "queue_full"; _ }) -> true
+  | Ok (Protocol.Rejected { reason = "queue_full"; batch; limit; _ }) ->
+      batch <= limit
   | Ok _ -> false
   | Error f -> transient f
 

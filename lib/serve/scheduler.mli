@@ -4,8 +4,8 @@
     One scheduler owns one {!Par.Pool}; every submitted batch fans its
     jobs out over the pool's worker domains.  Because the scheduler
     lives as long as the server process, everything the engines warm up
-    — the sharded {!Petri.Bitset.intern} tables, the world-set memo
-    caches, the {!Harness.Result_cache} — stays warm across batches:
+    — the sharded {!Petri.Bitset.intern} tables, the world-set computed
+    table, the {!Harness.Result_cache} — stays warm across batches:
     the first request pays cold-start, later identical requests are
     O(1) cache hits and near-identical ones reuse the interned
     universe.
@@ -17,7 +17,10 @@
     and the batch size — the service sheds load instead of queuing
     unboundedly.  The depth is tracked atomically so concurrent
     submitters see a consistent bound; the [serve.queue.depth] gauge
-    follows it.
+    follows it.  A batch larger than [queue_limit] is refused at any
+    depth; {!Server.serve} submits one connection's batch at a time,
+    so that is the only batch its scheduler refuses, and
+    {!Client.submit} does not retry it.
 
     {b Deduplication.}  Jobs inside one batch are deduped by cache key
     (net digest + property + engine config): the second occurrence

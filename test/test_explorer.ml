@@ -158,6 +158,18 @@ let test_render () =
     Alcotest.(check bool) "restart edges" true
       (Astring_contains.contains "restart:" (Gpn.Render.result r2))
 
+(* State hashes are built from node ids, so the rendering must not
+   follow hash order: the same analysis, run again after the computed
+   table is dropped, the collector has run and node ids have jumped,
+   renders to the same text. *)
+let test_render_independent_of_node_ids () =
+  let render () = Gpn.Render.result (gpo (Models.Over.make 4)) in
+  let first = render () in
+  Gpn.World_set.clear_caches ();
+  Gc.full_major ();
+  Gpn.World_set.advance_node_ids (1 lsl 40);
+  Alcotest.(check string) "same text" first (render ())
+
 let suite =
   [
     Alcotest.test_case "fig2 collapses to 2 states" `Quick test_fig2_two_states;
@@ -171,4 +183,6 @@ let suite =
     Alcotest.test_case "validate on models" `Quick test_validate_models;
     Alcotest.test_case "deviation restart example" `Quick test_deviation_restart_example;
     Alcotest.test_case "dot rendering" `Quick test_render;
+    Alcotest.test_case "dot rendering independent of node ids" `Quick
+      test_render_independent_of_node_ids;
   ]

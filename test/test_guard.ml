@@ -93,6 +93,22 @@ let engines_report_deadline () =
   Alcotest.(check bool) "stubborn stopped by deadline" true
     (r.stop = Guard.Deadline)
 
+(* GPO's set-up builds r0, the product of the cluster alternatives:
+   93 750 worlds on over-8, about a second of work before the explorer's
+   first poll.  The set-up polls the guard itself, so an expired
+   deadline stops it within milliseconds and Engine.run reports it. *)
+let gpo_setup_polls_guard () =
+  let net = Models.Over.make 8 in
+  let t0 = Unix.gettimeofday () in
+  let guard = Guard.create ~deadline_s:0.0 () in
+  let o = Harness.Engine.run ~guard Harness.Engine.Gpo net in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "stopped by deadline" true
+    (o.Harness.Engine.stop = Guard.Deadline);
+  Alcotest.(check bool)
+    (Printf.sprintf "set-up stopped in %.3f s" elapsed)
+    true (elapsed < 0.2)
+
 let engine_run_degrades_on_oom () =
   (* A simulated allocation failure in the hot loop: Engine.run must
      recover to a degraded outcome, not crash and not report a verdict. *)
@@ -171,6 +187,7 @@ let suite =
     Alcotest.test_case "pressure hooks run" `Quick pressure_hooks_run;
     Alcotest.test_case "all engines report deadline" `Quick
       engines_report_deadline;
+    Alcotest.test_case "gpo set-up polls the guard" `Quick gpo_setup_polls_guard;
     Alcotest.test_case "Engine.run degrades on OOM" `Quick
       engine_run_degrades_on_oom;
     Alcotest.test_case "fault schedule deterministic" `Quick

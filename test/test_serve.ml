@@ -931,6 +931,27 @@ let test_retry_gives_up_on_dead_endpoint () =
   Alcotest.(check bool) "jittered backoff stays near its ceiling" true
     (Unix.gettimeofday () -. t0 < 5.0)
 
+(* A batch larger than the queue limit is refused at any depth, so the
+   client returns the reject without re-sending it: the daemon sees the
+   batch once. *)
+let test_retry_skips_oversized_batch () =
+  with_server ~queue_limit:2 "oversized" @@ fun endpoint ->
+  let rejected = Gpo_obs.Counter.make "serve.rejected" in
+  let before = Gpo_obs.Counter.value rejected in
+  let job n = P.job ~engine:"gpo" (P.Model { id = "fig2"; size = n }) in
+  let rng = Random.State.make [| 3 |] in
+  (match
+     Serve.Client.submit ~retries:3 ~backoff_ms:1 ~rng endpoint
+       [ job 3; job 4; job 5 ]
+   with
+  | Ok (P.Rejected r) ->
+      Alcotest.(check string) "typed reason" "queue_full" r.P.reason;
+      Alcotest.(check int) "batch" 3 r.P.batch
+  | Ok _ -> Alcotest.fail "an oversized batch must be rejected"
+  | Error f -> Alcotest.failf "submit: %s" (Serve.Client.describe_failure f));
+  Alcotest.(check int) "the daemon saw the batch once" (before + 1)
+    (Gpo_obs.Counter.value rejected)
+
 let test_retry_rides_out_restart () =
   (* The daemon comes up late — exactly the restart window the retry
      policy exists for.  The client's first attempts are refused, a
@@ -1024,6 +1045,8 @@ let suite =
       test_failure_classification;
     Alcotest.test_case "retry gives up on a dead endpoint" `Quick
       test_retry_gives_up_on_dead_endpoint;
+    Alcotest.test_case "retry skips a batch over the queue limit" `Quick
+      test_retry_skips_oversized_batch;
     Alcotest.test_case "retry rides out a daemon restart" `Quick
       test_retry_rides_out_restart;
     Alcotest.test_case "a hard drain cancels portfolio jobs too" `Quick

@@ -1,6 +1,6 @@
 (* Tests for Gpn.World_set and Gpn.State: unit cases, randomized
    operation sequences checked against the stdlib's [Set.Make] over bit
-   sets, and the per-domain memo caches. *)
+   sets, and the computed table shared by every domain. *)
 
 module B = Petri.Bitset
 module W = Gpn.World_set
@@ -100,8 +100,9 @@ let check_pair ctx (h, r) =
 
 (* One random session: grow a pool of (world set, reference) pairs built
    by identical operations, checking observational agreement after
-   every step plus the pairwise relations at the end. *)
-let op_session seed =
+   every step.  The pool is a function of [seed]; the session's random
+   state comes back with it. *)
+let op_pool seed =
   let st = Random.State.make [| seed |] in
   let pool = ref [| (W.empty, R.empty) |] in
   let pick () = !pool.(Random.State.int st (Array.length !pool)) in
@@ -136,8 +137,12 @@ let op_session seed =
         let worlds = List.init (Random.State.int st 6) (fun _ -> random_world st) in
         push ctx (W.of_list worlds, R.of_list worlds)
   done;
-  (* Pairwise relations must agree with the reference, and the hash
-     must be consistent with equality. *)
+  (!pool, st)
+
+(* A session's pool, then the pairwise relations: they must agree with
+   the reference, and the hash must be consistent with equality. *)
+let op_session seed =
+  let pool, st = op_pool seed in
   Array.iteri
     (fun i (ha, ra) ->
       Array.iteri
@@ -149,11 +154,11 @@ let op_session seed =
             Alcotest.failf "%s" (ctx "compare-zero");
           if W.equal ha hb && W.hash ha <> W.hash hb then
             Alcotest.failf "%s" (ctx "hash/equal"))
-        !pool;
+        pool;
       let w = random_world st in
       if W.mem w ha <> R.mem w ra then
         Alcotest.failf "seed %d set %d: mem differs" seed i)
-    !pool
+    pool
 
 let test_ops_random () =
   for seed = 0 to 199 do
@@ -264,10 +269,11 @@ let test_hashcons_identity () =
     if W.hash a <> W.hash b then Alcotest.fail "equal sets with distinct hashes"
   done
 
-(* [clear_caches] is the memory-pressure hook: it must reach the memo
-   tables of every domain, not only the caller's.  Another domain's
-   repeat of an operation is a hit before the call and a miss after
-   it, and both answers are the same canonical set. *)
+(* [clear_caches] is the memory-pressure hook: it must reach every
+   domain, not only the caller.  Another domain's repeat of an
+   operation is a hit before the call and a miss after it, since the
+   call drops the one computed table they all read, and both answers
+   are the same canonical set. *)
 let test_clear_caches_across_domains () =
   let hits = Gpo_obs.Counter.make "worldset.union.cache_hit" in
   let misses = Gpo_obs.Counter.make "worldset.union.cache_miss" in
@@ -296,6 +302,57 @@ let test_clear_caches_across_domains () =
   Alcotest.(check (pair int int)) "repeat before clear_caches hits" (h0 + 1, m0) (h1, m1);
   Alcotest.(check (pair int int)) "repeat after clear_caches misses" (h1, m1 + 1) c2;
   Alcotest.(check bool) "one canonical result" true (first == repeat && repeat == again)
+
+(* The computed table is process-wide: an operation another domain
+   repeats is a hit there, and returns the very node computed here. *)
+let test_hit_across_domains () =
+  let counts () =
+    ( Gpo_obs.Counter.value (Gpo_obs.Counter.make "worldset.union.cache_hit"),
+      Gpo_obs.Counter.value (Gpo_obs.Counter.make "worldset.union.cache_miss") )
+  in
+  let a = W.of_list [ w [ 0; 6 ]; w [ 1; 6 ] ] in
+  let b = W.of_list [ w [ 2; 6 ]; w [ 3; 6 ] ] in
+  let here = W.union a b in
+  let there, (h0, m0), c1 =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let c0 = counts () in
+           let r = W.union a b in
+           (r, c0, counts ())))
+  in
+  Alcotest.(check (pair int int)) "repeat on another domain hits" (h0 + 1, m0) c1;
+  Alcotest.(check bool) "the same canonical result" true (here == there)
+
+(* Domains racing on the shared table, from an empty one, must still
+   compute every operation right: each runs the randomized sessions
+   (seeds in a rotated order, so they store and probe different slots
+   at once) over the operands the single-domain pass built, and every
+   result must be the very node that pass computed.  [op_pool] checks
+   each step against [Set.Make] as it goes.  Meanwhile this domain keeps
+   dropping the table, which must cost the others hits only. *)
+let test_ops_concurrent () =
+  let seeds = 120 and n_domains = 3 in
+  let expected = Array.init seeds (fun seed -> fst (op_pool seed)) in
+  W.clear_caches ();
+  let finished = Atomic.make 0 in
+  let run rot () =
+    Fun.protect ~finally:(fun () -> Atomic.incr finished) @@ fun () ->
+    for i = 0 to seeds - 1 do
+      let seed = (i + (rot * seeds / n_domains)) mod seeds in
+      Array.iteri
+        (fun j (h, _) ->
+          if h != fst expected.(seed).(j) then
+            Alcotest.failf "domain %d seed %d step %d: not the single-domain node"
+              rot seed j)
+        (fst (op_pool seed))
+    done
+  in
+  let domains = List.init n_domains (fun d -> Domain.spawn (run d)) in
+  while Atomic.get finished < n_domains do
+    W.clear_caches ();
+    Unix.sleepf 0.0005
+  done;
+  List.iter Domain.join domains
 
 let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count:200 gen f)
 
@@ -329,5 +386,9 @@ let suite =
     Alcotest.test_case "hash-consing identity" `Quick test_hashcons_identity;
     Alcotest.test_case "memo caches reset across domains" `Quick
       test_clear_caches_across_domains;
+    Alcotest.test_case "a result computed on one domain is a hit on another" `Quick
+      test_hit_across_domains;
+    Alcotest.test_case "concurrent op sequences on shared operands" `Quick
+      test_ops_concurrent;
   ]
   @ props

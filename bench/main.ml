@@ -65,6 +65,15 @@ let time f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
+(* Called before each timed repetition of the gpo, scaling and reduce
+   jobs, outside the timed region, so that a repetition starts as cold
+   as a fresh [julie certify] process: the world-set computed table is
+   dropped, and a major collection sweeps the previous repetition's
+   garbage and the weak unique tables' dead entries. *)
+let cold () =
+  Gpn.World_set.clear_caches ();
+  Gc.full_major ()
+
 (* BENCH_SMOKE=1 shrinks the instances and repetitions of the jobs
    below — a smoke test that a job runs and its report schema holds,
    not a measurement. *)
@@ -101,6 +110,7 @@ let gpo_scaling () =
             let net = make n in
             let best = ref infinity and states = ref 0 in
             for _ = 1 to reps do
+              cold ();
               let r, t = time (fun () -> Gpn.Explorer.analyse net) in
               states := r.Gpn.Explorer.states;
               best := Float.min !best t
@@ -153,6 +163,7 @@ let scaling () =
         (fun jobs ->
           let best = ref infinity and states = ref 0 and runs = ref 0 in
           for _ = 1 to reps do
+            cold ();
             let r, t =
               time (fun () -> Gpn.Explorer.analyse ~scan:true ~jobs net)
             in
@@ -189,10 +200,12 @@ let scaling () =
       let singles =
         List.map
           (fun kind ->
+            cold ();
             let o = Harness.Engine.run ~gpo_scan:true kind net in
             (Harness.Engine.name kind, o.Harness.Engine.time_s))
           Harness.Engine.all
       in
+      cold ();
       let r, t = time (fun () -> Harness.Portfolio.run net) in
       let winner =
         Harness.Engine.name r.Harness.Portfolio.outcome.Harness.Engine.kind
@@ -481,11 +494,13 @@ let reduce_bench () =
           let plain = ref infinity and reduced = ref infinity in
           let dl_plain = ref false and dl_red = ref false in
           for _ = 1 to reps do
+            cold ();
             let o, t =
               time (fun () -> Harness.Engine.run ~gpo_scan:true kind net)
             in
             dl_plain := o.Harness.Engine.deadlock;
             plain := Float.min !plain t;
+            cold ();
             let o, t =
               time (fun () ->
                   Harness.Engine.run ~gpo_scan:true ~reduce:true kind net)

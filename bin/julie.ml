@@ -555,9 +555,10 @@ let serve_cmd =
   in
   let queue_limit =
     Arg.(value & opt int 64 & info [ "queue-limit" ] ~docv:"N"
-           ~doc:"Bounded admission queue: a batch whose jobs would push the \
-                 number of admitted-but-unfinished jobs past $(docv) is \
-                 refused whole with a typed rejection instead of queuing.")
+           ~doc:"Admission bound: a batch of more than $(docv) jobs is \
+                 refused whole with a typed queue_full rejection.  The \
+                 daemon runs one batch at a time, so nothing else is \
+                 refused.")
   in
   let max_requests =
     Arg.(value & opt (some int) None & info [ "max-requests" ] ~docv:"N"
@@ -663,8 +664,8 @@ let submit socket port host source cover engine budgets witness reduce repeat
     match Serve.Client.submit ~retries ~backoff_ms endpoint batch_jobs with
     | Error f -> failc f
     | Ok (Serve.Protocol.Rejected r) ->
-        Format.eprintf "julie: rejected: %s (limit %d, depth %d, batch %d)@."
-          r.Serve.Protocol.reason r.limit r.depth r.batch;
+        Format.eprintf "julie: rejected: %s (limit %d, batch %d)@."
+          r.Serve.Protocol.reason r.limit r.batch;
         exit_usage
     | Ok (Serve.Protocol.Results results) ->
         let verdicts = List.map Serve.Protocol.classify results in
@@ -715,8 +716,9 @@ let submit_cmd =
   let retries =
     Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N"
            ~doc:"Retry a transient failure (connection refused, i/o \
-                 timeout, typed queue_full rejection) up to $(docv) times \
-                 with exponential backoff and full jitter.  Safe: jobs are \
+                 timeout) up to $(docv) times with exponential backoff and \
+                 full jitter.  A queue_full rejection is not retried: \
+                 re-sending the same batch cannot fit it.  Safe: jobs are \
                  idempotent content-addressed questions.  Default 0.")
   in
   let backoff_ms =

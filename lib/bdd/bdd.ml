@@ -11,51 +11,58 @@ end
 
 module Unique = Hashtbl.Make (Unique_key)
 
-module Cache_key = struct
-  type t = int * int * int (* op tag, id1, id2 *)
-
-  let equal (a, b, c) (a', b', c') = a = a' && b = b' && c = c'
-  let hash (a, b, c) = (((a * 2654435761) + b) * 2654435761) + c
-end
-
-module Cache = Hashtbl.Make (Cache_key)
-
-(* Telemetry: memoization effectiveness of the two operation caches and
+(* Telemetry: memoization effectiveness of the computed table and
    unique-table growth.  Bare counter increments — these sit on the
    hottest paths of the symbolic engine, and an increment is noise next
-   to the hash-table probe it annotates. *)
+   to the table probe it annotates. *)
 let c_apply_hit = Gpo_obs.Counter.make "bdd.apply.cache_hit"
 let c_apply_miss = Gpo_obs.Counter.make "bdd.apply.cache_miss"
-let c_ite_hit = Gpo_obs.Counter.make "bdd.ite.cache_hit"
-let c_ite_miss = Gpo_obs.Counter.make "bdd.ite.cache_miss"
 let c_nodes_created = Gpo_obs.Counter.make "bdd.nodes.created"
+
+(* The computed table, the op cache of BDD packages (Brace, Rudell &
+   Bryant, DAC 1990): a fixed array of immutable entries indexed by a
+   hash of the operation and both operand ids.  A store overwrites its
+   slot and a lookup that finds another key misses: there is no
+   eviction policy.  Each manager owns one, allocated with it.  Every
+   result is a node of the same manager and ids are never reused within
+   it, and a lookup compares the whole key, so an entry can miss but
+   never alias; a lost entry costs one recomputation. *)
+type entry = { op : int; a : int; b : int; r : t }
+
+let op_and = 0 and op_or = 1 and op_xor = 2 and op_not = 3
+let table_size = 1 lsl 14
+let no_entry = { op = -1; a = 0; b = 0; r = Zero }
 
 type manager = {
   unique : t Unique.t;
   mutable next_id : int;
   mutable peak : int;
-  cache : t Cache.t;  (* binary ops and not *)
-  ite_cache : (int, t) Hashtbl.t;  (* key: three node ids packed into one int *)
+  table : entry array;
 }
 
-(* The ite cache key packs (id i, id t, id e) into a single immediate
-   int — 21 bits per id — so probing neither allocates a tuple nor
-   chases three boxed fields per comparison.  Node ids are dense from 0,
-   so the guard only trips past two million live-or-dead nodes; beyond
-   that [ite] still computes correctly, just without memoization. *)
-let ite_pack_bits = 21
-let ite_pack_limit = 1 lsl ite_pack_bits
+let slot op a b =
+  let h = ((((a * 0x9E3779B1) + b) * 0x85EBCA77) + op) land max_int in
+  (h lxor (h lsr 32)) land (table_size - 1)
 
-let ite_pack i t e =
-  (((i lsl ite_pack_bits) lor t) lsl ite_pack_bits) lor e
+let lookup m op a b =
+  let e = m.table.(slot op a b) in
+  if e.a = a && e.b = b && e.op = op then begin
+    Gpo_obs.Counter.incr c_apply_hit;
+    Some e.r
+  end
+  else begin
+    Gpo_obs.Counter.incr c_apply_miss;
+    None
+  end
+
+let store m op a b r = m.table.(slot op a b) <- { op; a; b; r }
 
 let manager () =
   {
     unique = Unique.create 4096;
     next_id = 2;
     peak = 2;
-    cache = Cache.create 4096;
-    ite_cache = Hashtbl.create 1024;
+    table = Array.make table_size no_entry;
   }
 
 let zero _ = Zero
@@ -88,12 +95,6 @@ let nvar m v =
   if v < 0 then invalid_arg "Bdd.nvar: negative variable";
   mk m v One Zero
 
-(* Operation tags for the shared binary cache. *)
-let tag_and = 0
-let tag_or = 1
-let tag_xor = 2
-let tag_not = 3
-
 let top_var a b =
   match (a, b) with
   | Node x, Node y -> min x.var y.var
@@ -109,35 +110,28 @@ let rec not_ m t =
   | Zero -> One
   | One -> Zero
   | Node n -> begin
-      let key = (tag_not, n.id, 0) in
-      match Cache.find_opt m.cache key with
-      | Some r ->
-          Gpo_obs.Counter.incr c_apply_hit;
-          r
+      match lookup m op_not n.id 0 with
+      | Some r -> r
       | None ->
-          Gpo_obs.Counter.incr c_apply_miss;
           let r = mk m n.var (not_ m n.low) (not_ m n.high) in
-          Cache.add m.cache key r;
+          store m op_not n.id 0 r;
           r
     end
 
-let rec apply m tag f_leaf a b =
+let rec apply m op f_leaf a b =
   match f_leaf a b with
   | Some r -> r
   | None -> begin
+      (* and/or/xor are commutative: the smaller id goes first. *)
       let ia = id a and ib = id b in
-      (* and/or/xor are commutative: canonicalize the key. *)
-      let key = if ia <= ib then (tag, ia, ib) else (tag, ib, ia) in
-      match Cache.find_opt m.cache key with
-      | Some r ->
-          Gpo_obs.Counter.incr c_apply_hit;
-          r
+      let lo = if ia <= ib then ia else ib and hi = if ia <= ib then ib else ia in
+      match lookup m op lo hi with
+      | Some r -> r
       | None ->
-          Gpo_obs.Counter.incr c_apply_miss;
           let v = top_var a b in
           let a0, a1 = cofactors v a and b0, b1 = cofactors v b in
-          let r = mk m v (apply m tag f_leaf a0 b0) (apply m tag f_leaf a1 b1) in
-          Cache.add m.cache key r;
+          let r = mk m v (apply m op f_leaf a0 b0) (apply m op f_leaf a1 b1) in
+          store m op lo hi r;
           r
     end
 
@@ -161,52 +155,21 @@ let xor_leaf a b =
   | x, y when x == y -> Some Zero
   | _ -> None
 
-let and_ m a b = apply m tag_and and_leaf a b
-let or_ m a b = apply m tag_or or_leaf a b
+let and_ m a b = apply m op_and and_leaf a b
+let or_ m a b = apply m op_or or_leaf a b
 
 let xor_ m a b =
   match (a, b) with
   | One, x | x, One -> not_ m x
-  | _ -> apply m tag_xor xor_leaf a b
+  | _ -> apply m op_xor xor_leaf a b
 
 let iff m a b = not_ m (xor_ m a b)
-
-let ite m i t e =
-  let rec go i t e =
-    match i with
-    | One -> t
-    | Zero -> e
-    | _ when t == e -> t
-    | _ when is_one t && is_zero e -> i
-    | _ -> begin
-        let cacheable = m.next_id < ite_pack_limit in
-        let key = if cacheable then ite_pack (id i) (id t) (id e) else 0 in
-        match if cacheable then Hashtbl.find_opt m.ite_cache key else None with
-        | Some r ->
-            Gpo_obs.Counter.incr c_ite_hit;
-            r
-        | None ->
-            Gpo_obs.Counter.incr c_ite_miss;
-            let v =
-              List.fold_left
-                (fun acc n -> match n with Node x -> min acc x.var | _ -> acc)
-                max_int [ i; t; e ]
-            in
-            let i0, i1 = cofactors v i in
-            let t0, t1 = cofactors v t in
-            let e0, e1 = cofactors v e in
-            let r = mk m v (go i0 t0 e0) (go i1 t1 e1) in
-            if cacheable then Hashtbl.add m.ite_cache key r;
-            r
-      end
-  in
-  go i t e
 
 let conj m ts = List.fold_left (and_ m) One ts
 let disj m ts = List.fold_left (or_ m) Zero ts
 
 (* Quantification uses per-call memo tables: the quantified variable set
-   changes between calls, so the global cache cannot be reused. *)
+   changes between calls, so the computed table cannot hold it. *)
 let exists m vars t =
   let in_vars = Hashtbl.create 16 in
   List.iter (fun v -> Hashtbl.replace in_vars v ()) vars;
@@ -359,7 +322,3 @@ let unique_load_factor m =
   let stats = Unique.stats m.unique in
   float_of_int stats.Hashtbl.num_bindings
   /. float_of_int (max 1 stats.Hashtbl.num_buckets)
-
-let clear_caches m =
-  Cache.reset m.cache;
-  Hashtbl.reset m.ite_cache

@@ -2,10 +2,10 @@
 
     A from-scratch ROBDD package in the style of Bryant's original
     paper (reference [2] of the paper): shared, canonical node
-    representation with a unique table and memoized boolean operations.
-    It provides everything the symbolic reachability analysis of
-    Section 2.4 needs — conjunction/disjunction/negation, if-then-else,
-    existential quantification over variable sets, the fused
+    representation with a unique table and boolean operations memoized
+    in a fixed-size computed table.  It provides everything the symbolic
+    reachability analysis of Section 2.4 needs — conjunction/disjunction/
+    negation, existential quantification over variable sets, the fused
     relational product, monotone variable renaming and satisfying
     assignment counting — plus the node-count accounting used for the
     "Peak BDD size" column of Table 1.
@@ -15,7 +15,10 @@
     equality is physical equality. *)
 
 type manager
-(** Owns the unique table and the operation caches. *)
+(** Owns the unique table and the computed table, a fixed array of
+    2{^14} slots that memoizes [not_], [and_], [or_] and [xor_]; a
+    store overwrites its slot, so a result can be recomputed but is
+    never wrong. *)
 
 type t
 (** A BDD node.  Only combine nodes created by the same manager. *)
@@ -42,9 +45,6 @@ val xor_ : manager -> t -> t -> t
 
 val iff : manager -> t -> t -> t
 (** [iff m a b] is [¬(a xor b)]. *)
-
-val ite : manager -> t -> t -> t -> t
-(** [ite m i t e] is if-then-else. *)
 
 val conj : manager -> t list -> t
 (** Conjunction of a list ([one] for the empty list). *)
@@ -97,6 +97,3 @@ val peak_nodes : manager -> int
 val unique_load_factor : manager -> float
 (** Bindings per bucket of the unique table — reported by the symbolic
     engine's telemetry ([bdd.unique.load_factor]). *)
-
-val clear_caches : manager -> unit
-(** Drop the operation caches (the unique table is kept). *)

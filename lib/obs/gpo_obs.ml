@@ -77,8 +77,13 @@ module Json = struct
     output_string oc (to_string t);
     output_char oc '\n'
 
-  (* Recursive-descent parser, sufficient for our own output. *)
+  (* Recursive-descent parser, sufficient for our own output.  It
+     recurses once per open bracket, so a document nested deeper than
+     [max_depth] is refused before it can overflow the stack; the
+     deepest document the toolkit writes nests fewer than 10 levels. *)
   exception Parse_error of string
+
+  let max_depth = 512
 
   let of_string s =
     let n = String.length s in
@@ -178,7 +183,7 @@ module Json = struct
             | Some f -> Float f
             | None -> fail "bad number")
     in
-    let rec parse_value () =
+    let rec parse_value depth =
       skip_ws ();
       match peek () with
       | None -> fail "unexpected end of input"
@@ -186,6 +191,7 @@ module Json = struct
       | Some 't' -> literal "true" (Bool true)
       | Some 'f' -> literal "false" (Bool false)
       | Some 'n' -> literal "null" Null
+      | Some ('{' | '[') when depth >= max_depth -> fail "nesting too deep"
       | Some '{' ->
           advance ();
           skip_ws ();
@@ -199,7 +205,7 @@ module Json = struct
               let k = parse_string () in
               skip_ws ();
               expect ':';
-              let v = parse_value () in
+              let v = parse_value (depth + 1) in
               skip_ws ();
               match peek () with
               | Some ',' ->
@@ -221,7 +227,7 @@ module Json = struct
           end
           else begin
             let rec elems acc =
-              let v = parse_value () in
+              let v = parse_value (depth + 1) in
               skip_ws ();
               match peek () with
               | Some ',' ->
@@ -237,7 +243,7 @@ module Json = struct
       | Some _ -> parse_number ()
     in
     match
-      let v = parse_value () in
+      let v = parse_value 0 in
       skip_ws ();
       if !pos <> n then fail "trailing garbage";
       v

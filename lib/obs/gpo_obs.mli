@@ -47,7 +47,9 @@ module Json : sig
   (** [to_string] followed by a newline — one JSONL record. *)
 
   val of_string : string -> (t, string) result
-  (** Parse one JSON value; [Error msg] names the first offence. *)
+  (** Parse one JSON value; [Error msg] names the first offence.  A
+      document nested more than 512 levels deep is an [Error], so
+      input from a socket or a file cannot overflow the stack. *)
 
   val member : string -> t -> t option
   (** Field lookup in an [Obj]; [None] otherwise. *)

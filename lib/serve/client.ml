@@ -86,17 +86,12 @@ let with_connection ?io_timeout_s endpoint f =
 (* Sleep uniformly in [0, backoff_ms * 2^attempt] (capped at 10 s) —
    full jitter spreads a thundering herd of restarting clients instead
    of synchronising it.  Only typed-transient failures are retried:
-   a refused connection (daemon restarting), deadline expiry, and the
-   server's queue_full rejection of a batch that fits the limit (shed
-   load, come back later).  A batch larger than the limit is refused
-   at any depth, so re-sending it cannot help.  Safe because every
-   request is idempotent — a question about content-addressed state,
-   not a mutation. *)
-let retryable = function
-  | Ok (Protocol.Rejected { reason = "queue_full"; batch; limit; _ }) ->
-      batch <= limit
-  | Ok _ -> false
-  | Error f -> transient f
+   a refused connection (daemon restarting) and deadline expiry.  Every
+   answer is final, a queue_full rejection included: the server refuses
+   exactly the batches larger than its limit, so re-sending one cannot
+   help.  Safe because every request is idempotent — a question about
+   content-addressed state, not a mutation. *)
+let retryable = function Ok _ -> false | Error f -> transient f
 
 let with_retries ?(retries = 0) ?(backoff_ms = 50) ?rng attempt_fn =
   let rng = lazy (match rng with Some r -> r | None -> Random.State.make_self_init ()) in

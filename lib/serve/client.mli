@@ -47,12 +47,13 @@ val submit :
   Protocol.job list ->
   (Protocol.response, failure) result
 (** Submit a batch.  With [retries > 0] (default 0), a transient
-    failure — including the server's typed [queue_full] rejection of a
-    batch no larger than the queue limit — is retried up to [retries]
-    times with exponential backoff and {e full jitter}: attempt [k]
-    sleeps uniformly in [\[0, backoff_ms * 2^k\]] milliseconds (default
-    base 50 ms, ceiling 10 s), so a herd of restarting clients spreads
-    out instead of stampeding the recovering daemon.  [rng] pins the jitter for
+    failure — a refused connection or an i/o timeout — is retried up to
+    [retries] times with exponential backoff and {e full jitter}: attempt
+    [k] sleeps uniformly in [\[0, backoff_ms * 2^k\]] milliseconds
+    (default base 50 ms, ceiling 10 s), so a herd of restarting clients
+    spreads out instead of stampeding the recovering daemon.  A reply is
+    final, the typed [queue_full] rejection included: the server refuses
+    exactly the batches larger than its limit.  [rng] pins the jitter for
     deterministic tests.  Each retry is logged as a
     [serve.client.retry] instant. *)
 

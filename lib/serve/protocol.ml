@@ -32,7 +32,7 @@ type job_result = {
 }
 
 type request = Submit of job list | Ping | Stats | Shutdown
-type reject = { reason : string; limit : int; depth : int; batch : int }
+type reject = { reason : string; limit : int; batch : int }
 
 type response =
   | Results of job_result list
@@ -254,7 +254,6 @@ let json_of_response = function
               [
                 ("reason", J.String r.reason);
                 ("limit", J.Int r.limit);
-                ("depth", J.Int r.depth);
                 ("batch", J.Int r.batch);
               ] );
         ]
@@ -291,9 +290,8 @@ let response_of_json json =
     | Some rj, _, _ ->
         let* reason = string_field "reason" rj in
         let* limit = int_field "limit" rj in
-        let* depth = int_field "depth" rj in
         let* batch = int_field "batch" rj in
-        Stdlib.Ok (Rejected { reason; limit; depth; batch })
+        Stdlib.Ok (Rejected { reason; limit; batch })
     | None, Some (J.String msg), _ -> Stdlib.Ok (Error msg)
     | None, None, Some (J.Bool true) -> Stdlib.Ok Timed_out
     | _ -> Stdlib.Error "error response without reject/error/timed_out"

@@ -89,10 +89,9 @@ type request =
   | Stats  (** Server-lifetime telemetry snapshot + cache stats. *)
   | Shutdown  (** Graceful stop: the server replies, then exits. *)
 
-type reject = { reason : string; limit : int; depth : int; batch : int }
-(** Typed admission rejection: accepting [batch] more jobs on top of
-    the [depth] already admitted would exceed the bounded queue
-    [limit].  [reason] is ["queue_full"]. *)
+type reject = { reason : string; limit : int; batch : int }
+(** Typed admission rejection: the [batch] holds more jobs than the
+    queue [limit].  [reason] is ["queue_full"]. *)
 
 type response =
   | Results of job_result list  (** One per job, in request order. *)

@@ -5,10 +5,9 @@ type t = {
   pool : Par.Pool.t;
   pool_jobs : int;
   queue_limit : int;
-  depth : int Atomic.t;
-  (* Serializes pool use: admission control (above) decides *whether* a
-     batch gets in; this lock only decides *when* it runs.  A rejected
-     batch never reaches it, so saturation answers immediately. *)
+  (* Serializes pool use: admission control decides *whether* a batch
+     gets in; this lock only decides *when* it runs.  A rejected batch
+     never reaches it, so a refusal answers immediately. *)
   run_lock : Mutex.t;
   (* The parent of every job's guard, tripped [Cancelled] by a second
      drain signal: every in-flight run, portfolio entrants included,
@@ -23,7 +22,6 @@ let c_batches = Gpo_obs.Counter.make "serve.batches"
 let c_rejected = Gpo_obs.Counter.make "serve.rejected"
 let c_deduped = Gpo_obs.Counter.make "serve.batch.deduped"
 let c_failed = Gpo_obs.Counter.make "serve.jobs.failed"
-let g_depth = Gpo_obs.Gauge.make "serve.queue.depth"
 
 let create ?(jobs = 1) ?(queue_limit = 64) () =
   let jobs = Par.Pool.resolve_jobs jobs in
@@ -33,14 +31,12 @@ let create ?(jobs = 1) ?(queue_limit = 64) () =
     pool = Par.Pool.create ~jobs ();
     pool_jobs = jobs;
     queue_limit;
-    depth = Atomic.make 0;
     run_lock = Mutex.create ();
     drain = Guard.create ();
   }
 
 let pool_jobs t = t.pool_jobs
 let queue_limit t = t.queue_limit
-let depth t = Atomic.get t.depth
 let cancel_inflight t = Guard.trip t.drain Guard.Cancelled
 let shutdown t = Par.Pool.shutdown t.pool
 
@@ -173,86 +169,74 @@ let submit t (batch : Protocol.job list) =
   let n = List.length batch in
   Gpo_obs.Counter.incr c_batches;
   (* Admission control: the whole batch gets in or none of it does. *)
-  let rec admit () =
-    let cur = Atomic.get t.depth in
-    if cur + n > t.queue_limit then Error cur
-    else if Atomic.compare_and_set t.depth cur (cur + n) then Ok ()
-    else admit ()
-  in
-  match admit () with
-  | Error cur ->
-      Gpo_obs.Counter.incr c_rejected;
-      Protocol.Rejected
-        { reason = "queue_full"; limit = t.queue_limit; depth = cur; batch = n }
-  | Ok () ->
-      Gpo_obs.Gauge.set_int g_depth (Atomic.get t.depth);
-      Fun.protect
-        ~finally:(fun () ->
-          ignore (Atomic.fetch_and_add t.depth (-n) : int);
-          Gpo_obs.Gauge.set_int g_depth (Atomic.get t.depth))
-        (fun () ->
-          Gpo_obs.Counter.add c_jobs n;
-          Mutex.lock t.run_lock;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock t.run_lock)
-            (fun () ->
-              (* Name anonymous jobs, prepare, and dedupe by cache key:
-                 only the first occurrence of a question is scheduled. *)
-              let seen : (string, int) Hashtbl.t = Hashtbl.create 16 in
-              let slots =
-                List.mapi
-                  (fun i (job : Protocol.job) ->
-                    let job =
-                      if job.id = "" then
-                        { job with id = Printf.sprintf "job-%d" i }
-                      else job
-                    in
-                    match prepare job with
-                    | Error msg -> Immediate (failed_result job.id msg)
-                    | Ok p -> (
-                        let k = Harness.Result_cache.render p.key in
-                        match Hashtbl.find_opt seen k with
-                        | Some first ->
-                            Gpo_obs.Counter.incr c_deduped;
-                            Dup (first, job.id)
-                        | None ->
-                            Hashtbl.add seen k i;
-                            Unique p))
-                  batch
+  if n > t.queue_limit then begin
+    Gpo_obs.Counter.incr c_rejected;
+    Protocol.Rejected { reason = "queue_full"; limit = t.queue_limit; batch = n }
+  end
+  else begin
+    Gpo_obs.Counter.add c_jobs n;
+    Mutex.lock t.run_lock;
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock t.run_lock)
+      (fun () ->
+        (* Name anonymous jobs, prepare, and dedupe by cache key:
+           only the first occurrence of a question is scheduled. *)
+        let seen : (string, int) Hashtbl.t = Hashtbl.create 16 in
+        let slots =
+          List.mapi
+            (fun i (job : Protocol.job) ->
+              let job =
+                if job.id = "" then
+                  { job with id = Printf.sprintf "job-%d" i }
+                else job
               in
-              let uniques =
-                List.concat
-                  (List.mapi
-                     (fun i -> function Unique p -> [ (i, p) ] | _ -> [])
-                     slots)
-              in
-              let executed =
-                Par.Pool.map t.pool
-                  (fun (_, p) -> execute ~drain:t.drain p)
-                  uniques
-              in
-              (* Replay the workers' captured events to the shared sink
-                 in batch order, so --metrics-out/--trace-out streams
-                 stay coherent. *)
-              List.iter
-                (fun (_, events) -> Gpo_obs.Scoped.replay events)
-                executed;
-              let answered : (int, Protocol.job_result) Hashtbl.t =
-                Hashtbl.create 16
-              in
-              List.iter2
-                (fun (i, _) (result, _) -> Hashtbl.replace answered i result)
-                uniques executed;
-              Protocol.Results
-                (List.mapi
-                   (fun i -> function
-                     | Immediate r -> r
-                     | Unique _ -> Hashtbl.find answered i
-                     | Dup (first, id) ->
-                         {
-                           (Hashtbl.find answered first) with
-                           Protocol.id;
-                           deduped = true;
-                           metrics = Gpo_obs.summarize_events [];
-                         })
-                   slots)))
+              match prepare job with
+              | Error msg -> Immediate (failed_result job.id msg)
+              | Ok p -> (
+                  let k = Harness.Result_cache.render p.key in
+                  match Hashtbl.find_opt seen k with
+                  | Some first ->
+                      Gpo_obs.Counter.incr c_deduped;
+                      Dup (first, job.id)
+                  | None ->
+                      Hashtbl.add seen k i;
+                      Unique p))
+            batch
+        in
+        let uniques =
+          List.concat
+            (List.mapi
+               (fun i -> function Unique p -> [ (i, p) ] | _ -> [])
+               slots)
+        in
+        let executed =
+          Par.Pool.map t.pool
+            (fun (_, p) -> execute ~drain:t.drain p)
+            uniques
+        in
+        (* Replay the workers' captured events to the shared sink
+           in batch order, so --metrics-out/--trace-out streams
+           stay coherent. *)
+        List.iter
+          (fun (_, events) -> Gpo_obs.Scoped.replay events)
+          executed;
+        let answered : (int, Protocol.job_result) Hashtbl.t =
+          Hashtbl.create 16
+        in
+        List.iter2
+          (fun (i, _) (result, _) -> Hashtbl.replace answered i result)
+          uniques executed;
+        Protocol.Results
+          (List.mapi
+             (fun i -> function
+               | Immediate r -> r
+               | Unique _ -> Hashtbl.find answered i
+               | Dup (first, id) ->
+                   {
+                     (Hashtbl.find answered first) with
+                     Protocol.id;
+                     deduped = true;
+                     metrics = Gpo_obs.summarize_events [];
+                   })
+             slots))
+  end

@@ -10,17 +10,14 @@
     O(1) cache hits and near-identical ones reuse the interned
     universe.
 
-    {b Admission control.}  The queue of admitted-but-unfinished jobs
-    is bounded by [queue_limit]: a batch that would push the depth past
-    the limit is refused {e whole} with a typed
-    {!Protocol.response.Rejected} carrying the limit, the current depth
-    and the batch size — the service sheds load instead of queuing
-    unboundedly.  The depth is tracked atomically so concurrent
-    submitters see a consistent bound; the [serve.queue.depth] gauge
-    follows it.  A batch larger than [queue_limit] is refused at any
-    depth; {!Server.serve} submits one connection's batch at a time,
-    so that is the only batch its scheduler refuses, and
-    {!Client.submit} does not retry it.
+    {b Admission control.}  A batch of more than [queue_limit] jobs is
+    refused {e whole} with a typed {!Protocol.response.Rejected}
+    carrying the limit and the batch size.  Admitted batches run one at
+    a time, in the order they take the scheduler's run lock;
+    {!Server.serve} submits one connection's batch at a time, so the
+    lock only orders embedders that call {!submit} from several
+    threads.  {!Client.submit} does not retry a rejection: the same
+    batch would be refused again.
 
     {b Deduplication.}  Jobs inside one batch are deduped by cache key
     (net digest + property + engine config): the second occurrence
@@ -41,15 +38,12 @@ type t
 
 val create : ?jobs:int -> ?queue_limit:int -> unit -> t
 (** [create ~jobs ~queue_limit ()] spawns the worker pool ([jobs]
-    domains, default 1; 0 = the machine's recommended count) with a
-    bounded admission queue of [queue_limit] jobs (default 64,
-    clamped to at least 1). *)
+    domains, default 1; 0 = the machine's recommended count) and admits
+    batches of at most [queue_limit] jobs (default 64, clamped to at
+    least 1). *)
 
 val pool_jobs : t -> int
 val queue_limit : t -> int
-
-val depth : t -> int
-(** Jobs admitted and not yet finished. *)
 
 val submit : t -> Protocol.job list -> Protocol.response
 (** Run one batch: [Results] (one per job, in order) or [Rejected]

@@ -48,7 +48,6 @@ let stats_json sched =
       ( "queue",
         J.Obj
           [
-            ("depth", J.Int (Scheduler.depth sched));
             ("limit", J.Int (Scheduler.queue_limit sched));
             ("pool_jobs", J.Int (Scheduler.pool_jobs sched));
           ] );

@@ -17,14 +17,6 @@ let test_hash_consing () =
   let c = D.or_ m (D.nvar m 0) (D.nvar m 1) in
   Alcotest.(check bool) "de morgan" true (D.equal (D.not_ m a) c)
 
-let test_ite () =
-  let m = D.manager () in
-  let x = D.var m 0 and y = D.var m 1 and z = D.var m 2 in
-  let f = D.ite m x y z in
-  Alcotest.(check bool) "ite via or/and" true
-    (D.equal f (D.or_ m (D.and_ m x y) (D.and_ m (D.not_ m x) z)));
-  Alcotest.(check bool) "ite x 1 0 = x" true (D.equal (D.ite m x (D.one m) (D.zero m)) x)
-
 let test_eval () =
   let m = D.manager () in
   let f = D.xor_ m (D.var m 0) (D.var m 1) in
@@ -57,7 +49,8 @@ let test_rename () =
 
 let test_restrict () =
   let m = D.manager () in
-  let f = D.ite m (D.var m 0) (D.var m 1) (D.var m 2) in
+  let x0 = D.var m 0 in
+  let f = D.or_ m (D.and_ m x0 (D.var m 1)) (D.and_ m (D.not_ m x0) (D.var m 2)) in
   Alcotest.(check bool) "restrict x0=1" true (D.equal (D.restrict m 0 true f) (D.var m 1));
   Alcotest.(check bool) "restrict x0=0" true (D.equal (D.restrict m 0 false f) (D.var m 2))
 
@@ -90,6 +83,25 @@ let test_size_and_peak () =
   in
   Alcotest.(check int) "conjunction chain size" 6 (D.size f);
   Alcotest.(check bool) "peak at least live" true (D.peak_nodes m >= D.live_nodes m)
+
+(* ⋀_{i<k} (x_i ↔ x_{k+i}) under the natural order has about 3·2^k
+   nodes, so at k = 14 building it misses the computed table more often
+   than the table has slots: entries get overwritten, and every result
+   must still be the canonical node. *)
+let test_table_overflow () =
+  let k = 14 in
+  let misses = Gpo_obs.Counter.make "bdd.apply.cache_miss" in
+  let before = Gpo_obs.Counter.value misses in
+  let m = D.manager () in
+  let pair i = D.iff m (D.var m i) (D.var m (k + i)) in
+  let forward = D.conj m (List.init k pair) in
+  let reverse = D.conj m (List.rev (List.init k pair)) in
+  Alcotest.(check bool) "forward and reverse builds are one node" true
+    (D.equal forward reverse);
+  Alcotest.(check (float 0.)) "2^k models over 2k variables"
+    (ldexp 1.0 k) (D.sat_count m (2 * k) forward);
+  Alcotest.(check bool) "more misses than slots" true
+    (Gpo_obs.Counter.value misses - before > 1 lsl 14)
 
 (* Property tests: BDD semantics agrees with direct boolean evaluation
    on random formulas. *)
@@ -161,7 +173,6 @@ let suite =
   [
     Alcotest.test_case "constants" `Quick test_constants;
     Alcotest.test_case "hash consing" `Quick test_hash_consing;
-    Alcotest.test_case "ite" `Quick test_ite;
     Alcotest.test_case "eval" `Quick test_eval;
     Alcotest.test_case "exists" `Quick test_exists;
     Alcotest.test_case "and_exists" `Quick test_and_exists;
@@ -170,5 +181,6 @@ let suite =
     Alcotest.test_case "sat_count" `Quick test_sat_count;
     Alcotest.test_case "any_sat" `Quick test_any_sat;
     Alcotest.test_case "size and peak" `Quick test_size_and_peak;
+    Alcotest.test_case "canonical when the table overflows" `Quick test_table_overflow;
   ]
   @ props

@@ -134,6 +134,12 @@ let test_jsonl_round_trip () =
     lines
 
 let test_json_parser () =
+  (* [d] brackets deep.  The parser recurses once per bracket, so past
+     512 levels it must refuse the document, not overflow its stack. *)
+  let nested d = String.make d '[' ^ String.make d ']' in
+  let rec nested_value d =
+    if d = 1 then Obs.Json.List [] else Obs.Json.List [ nested_value (d - 1) ]
+  in
   let cases =
     [
       ("null", Obs.Json.Null);
@@ -145,6 +151,7 @@ let test_json_parser () =
        Obs.Json.(List [ Int 1; List [ Int 2 ]; Obj [] ]));
       ({|{"k":"v","n":[true,false]}|},
        Obs.Json.(Obj [ ("k", String "v"); ("n", List [ Bool true; Bool false ]) ]));
+      (nested 512, nested_value 512);
     ]
   in
   List.iter
@@ -160,7 +167,7 @@ let test_json_parser () =
       match Obs.Json.of_string s with
       | Ok _ -> Alcotest.failf "parse %S should fail" s
       | Error _ -> ())
-    [ ""; "{"; "[1,]"; "tru"; "1 2"; {|{"a":}|} ];
+    [ ""; "{"; "[1,]"; "tru"; "1 2"; {|{"a":}|}; nested 513; nested 100_000 ];
   (* Printer round-trips every value, and non-finite floats become null. *)
   Alcotest.(check string) "nan is null" "null"
     (Obs.Json.to_string (Obs.Json.Float Float.nan));

@@ -41,7 +41,6 @@ let time_like = { dir = Lower_better; abs_floor = 5e-3; absolute = false }
 let metric_table =
   [
     ("time_s", time_like);
-    ("ns_per_run", { time_like with abs_floor = 5.0 });
     ("plain_s", time_like);
     ("reduced_s", time_like);
     ("guarded_s", time_like);
@@ -50,19 +49,8 @@ let metric_table =
     ("gpo_time", time_like);
     ("spin_time", time_like);
     ("smv_time", time_like);
-    ("cold_s", time_like);
-    ("warm_s", time_like);
-    ("hit_s", time_like);
-    (* Per-store journal costs are microseconds; the default 5 ms floor
-       would never let them regress.  The in-memory store is tens of
-       nanoseconds — below any stable floor — so its wider floor keeps
-       it advisory while the journaled store stays enforceable. *)
-    ("mem_store_s", { time_like with abs_floor = 2e-6 });
-    ("journal_store_s", { time_like with abs_floor = 5e-6 });
-    ("recovery_s", time_like);
     ("overhead_pct", { dir = Lower_better; abs_floor = 0.0; absolute = true });
     ("speedup", { dir = Higher_better; abs_floor = 0.05; absolute = false });
-    ("jobs_per_s", { dir = Higher_better; abs_floor = 0.5; absolute = false });
   ]
 
 let metric_class name = List.assoc_opt name metric_table

@@ -50,8 +50,8 @@ let c_cancel_trips = Gpo_obs.Counter.make "guard.cancel.trips"
 
 let word_bytes = Sys.word_size / 8
 
-(* [poll] re-reads the clock and heap every [poll_mask + 1] = 64 calls,
-   for a measured overhead of 1.2–1.4% (BENCH_guard.json). *)
+(* [poll] re-reads the clock and heap every [poll_mask + 1] = 64 calls;
+   bench/main.exe guard measures what that costs (BENCH_guard.json). *)
 let poll_mask = 63
 
 type t = {

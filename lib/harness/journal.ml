@@ -118,9 +118,3 @@ let create path records =
      raise e);
   Sys.rename tmp path;
   open_append path
-
-let truncate path good_bytes =
-  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () -> Unix.ftruncate fd good_bytes)

@@ -61,7 +61,3 @@ val close : writer -> unit
 val bytes : writer -> int
 (** Current file size in bytes (drives the compaction threshold). *)
 
-val truncate : string -> int -> unit
-(** Physically truncate the file at the given offset — applied after
-    {!read} reports a torn tail so later appends extend a clean
-    prefix. *)

@@ -275,16 +275,6 @@ let kind_label = function
   | Meta_v -> "meta"
   | Instant_v -> "instant"
 
-let kind_of_label = function
-  | "counter" -> Some Counter_v
-  | "gauge" -> Some Gauge_v
-  | "dist" -> Some Dist_v
-  | "span" -> Some Span_v
-  | "sample" -> Some Sample_v
-  | "meta" -> Some Meta_v
-  | "instant" -> Some Instant_v
-  | _ -> None
-
 type event = {
   time : float;
   kind : kind;
@@ -303,61 +293,6 @@ let json_of_event e =
       ("fields", Json.Obj (List.map (fun (k, v) -> (k, json_of_value v)) e.fields));
     ]
 
-let event_of_json j =
-  let ( let* ) r f = Result.bind r f in
-  let field name =
-    match Json.member name j with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing field %S" name)
-  in
-  let* t = field "t" in
-  let* time =
-    match t with
-    | Json.Float f -> Ok f
-    | Json.Int i -> Ok (float_of_int i)
-    | _ -> Error "\"t\" is not a number"
-  in
-  let* ev = field "ev" in
-  let* kind =
-    match ev with
-    | Json.String s -> (
-        match kind_of_label s with
-        | Some k -> Ok k
-        | None -> Error (Printf.sprintf "unknown event kind %S" s))
-    | _ -> Error "\"ev\" is not a string"
-  in
-  let* name_j = field "name" in
-  let* name =
-    match name_j with
-    | Json.String s -> Ok s
-    | _ -> Error "\"name\" is not a string"
-  in
-  (* [dom] is optional: traces from before domain tagging default to 0. *)
-  let* dom =
-    match Json.member "dom" j with
-    | None -> Ok 0
-    | Some (Json.Int d) -> Ok d
-    | Some _ -> Error "\"dom\" is not an integer"
-  in
-  let* fields_j = field "fields" in
-  let* fields =
-    match fields_j with
-    | Json.Obj kvs ->
-        let rec convert acc = function
-          | [] -> Ok (List.rev acc)
-          | (k, v) :: rest -> (
-              match v with
-              | Json.Int i -> convert ((k, I i) :: acc) rest
-              | Json.Float f -> convert ((k, F f) :: acc) rest
-              | Json.String s -> convert ((k, S s) :: acc) rest
-              | Json.Bool b -> convert ((k, B b) :: acc) rest
-              | _ -> Error (Printf.sprintf "field %S has a non-scalar value" k))
-        in
-        convert [] kvs
-    | _ -> Error "\"fields\" is not an object"
-  in
-  Ok { time; kind; dom; name; fields }
-
 type sink = { emit : event -> unit; flush : unit -> unit }
 
 let null_sink = { emit = ignore; flush = ignore }
@@ -372,12 +307,6 @@ let tee_sink a b =
       (fun () ->
         a.flush ();
         b.flush ());
-  }
-
-let jsonl_sink write =
-  {
-    emit = (fun e -> write (Json.to_string (json_of_event e)));
-    flush = ignore;
   }
 
 let jsonl_channel_sink oc =

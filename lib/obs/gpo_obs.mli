@@ -16,8 +16,8 @@
       cost one branch, samples cost one branch, nothing allocates.
 
     Sinks are pluggable: {!null_sink} drops every event (for overhead
-    measurements with the event half on), {!jsonl_sink} writes one
-    JSON object per line for offline analysis, {!memory_sink} retains
+    measurements with the event half on), {!jsonl_channel_sink} writes
+    one JSON object per line for offline analysis, {!memory_sink} retains
     events for tests.  The registry is global and domain-safe: counters
     and gauges are atomic, distributions and span totals are
     mutex-guarded, the span scope stack is domain-local, and events can
@@ -82,10 +82,6 @@ val json_of_event : event -> Json.t
 (** The JSONL schema:
     [{"t":…,"ev":"counter"|…,"dom":…,"name":…,"fields":{…}}]. *)
 
-val event_of_json : Json.t -> (event, string) result
-(** Inverse of {!json_of_event} (used by the round-trip tests and the
-    CI smoke check). *)
-
 type sink = {
   emit : event -> unit;
   flush : unit -> unit;
@@ -94,13 +90,9 @@ type sink = {
 val null_sink : sink
 (** Accepts and drops every event. *)
 
-val jsonl_sink : (string -> unit) -> sink
-(** [jsonl_sink write] renders each event with {!json_of_event} and
-    passes the line (no trailing newline) to [write]. *)
-
 val jsonl_channel_sink : out_channel -> sink
-(** {!jsonl_sink} writing newline-terminated lines to a channel;
-    [flush] flushes the channel. *)
+(** Renders each event with {!json_of_event} as one newline-terminated
+    line on the channel; [flush] flushes the channel. *)
 
 val memory_sink : unit -> sink * (unit -> event list)
 (** A sink retaining events in memory, with a reader returning them in

@@ -23,23 +23,11 @@ let transient = function
   | Refused _ | Timed_out _ -> true
   | Closed | Protocol_error _ | Io _ -> false
 
-let connect = function
-  | Server.Unix_path path ->
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (Unix.ADDR_UNIX path)
-       with e -> Unix.close fd; raise e);
-      fd
-  | Server.Tcp { host; port } ->
-      let addr =
-        if host = "" || host = "localhost" then Unix.inet_addr_loopback
-        else
-          try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-          with Not_found -> Unix.inet_addr_of_string host
-      in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (Unix.ADDR_INET (addr, port))
-       with e -> Unix.close fd; raise e);
-      fd
+let connect endpoint =
+  let addr = Server.sockaddr endpoint in
+  let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
+  (try Unix.connect fd addr with e -> Unix.close fd; raise e);
+  fd
 
 let request fd req =
   match
@@ -66,12 +54,13 @@ let request fd req =
   | exception Unix.Unix_error (err, _, _) -> Error (Io (Unix.error_message err))
 
 let with_connection ?io_timeout_s endpoint f =
+  let describe msg =
+    Format.asprintf "connect %a: %s" Server.pp_endpoint endpoint msg
+  in
   match connect endpoint with
   | exception Unix.Unix_error (err, _, _) ->
-      Error
-        (Refused
-           (Format.asprintf "connect %a: %s" Server.pp_endpoint endpoint
-              (Unix.error_message err)))
+      Error (Refused (describe (Unix.error_message err)))
+  | exception Failure msg -> Error (Io (describe msg))
   | fd ->
       (match io_timeout_s with
       | Some s when s > 0. -> Protocol.set_timeouts fd s

@@ -12,7 +12,8 @@ type failure =
   | Closed  (** The server closed the connection before replying. *)
   | Protocol_error of string
       (** Torn/oversized frame, broken JSON, undecodable response. *)
-  | Io of string  (** Any other [Unix] error. *)
+  | Io of string
+      (** Any other [Unix] error, or a host that does not resolve. *)
 
 val describe_failure : failure -> string
 
@@ -23,7 +24,8 @@ val transient : failure -> bool
     state, never a mutation, so re-asking is always safe). *)
 
 val connect : Server.endpoint -> Unix.file_descr
-(** Open a connection.  Raises [Unix.Unix_error] when nobody listens. *)
+(** Open a connection.  Raises [Unix.Unix_error] when nobody listens,
+    and [Failure] for an unknown host ({!Server.sockaddr}). *)
 
 val request :
   Unix.file_descr -> Protocol.request -> (Protocol.response, failure) result
@@ -36,7 +38,8 @@ val with_connection :
   (Protocol.response, failure) result
 (** Connect, arm the socket deadlines ([io_timeout_s], off by
     default), run, always close; connection failures become
-    [Error (Refused _)]. *)
+    [Error (Refused _)], and an unknown host [Error (Io _)], which is
+    not retried. *)
 
 val submit :
   ?retries:int ->

@@ -11,30 +11,60 @@ let c_requests = Gpo_obs.Counter.make "serve.requests"
 let c_conn_timeouts = Gpo_obs.Counter.make "serve.conn.timeouts"
 let c_drain = Gpo_obs.Counter.make "serve.drain"
 
-let listen_fd = function
-  | Unix_path path ->
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.bind fd (Unix.ADDR_UNIX path);
-      Unix.listen fd 16;
-      (fd, Unix_path path)
+let sockaddr = function
+  | Unix_path path -> Unix.ADDR_UNIX path
   | Tcp { host; port } ->
       let addr =
         if host = "" || host = "localhost" then Unix.inet_addr_loopback
         else
-          try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-          with Not_found -> Unix.inet_addr_of_string host
+          try Unix.inet_addr_of_string host
+          with Failure _ -> (
+            try (Unix.gethostbyname host).Unix.h_addr_list.(0)
+            with Not_found -> failwith (Printf.sprintf "unknown host %S" host))
       in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (addr, port));
-      Unix.listen fd 16;
-      let bound =
-        match Unix.getsockname fd with
-        | Unix.ADDR_INET (_, p) -> p
-        | _ -> port
-      in
-      (fd, Tcp { host; port = bound })
+      Unix.ADDR_INET (addr, port)
+
+(* Make room for a Unix socket at [path] without destroying anything: a
+   socket whose daemon is gone (connect refused) is removed; a live
+   socket or any other file is refused. *)
+let claim_path path =
+  match (Unix.lstat path).Unix.st_kind with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  | Unix.S_SOCK -> (
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      match Unix.connect fd (Unix.ADDR_UNIX path) with
+      | () ->
+          Unix.close fd;
+          failwith (path ^ " is in use by a running server")
+      | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) ->
+          Unix.close fd;
+          Unix.unlink path
+      | exception e ->
+          Unix.close fd;
+          raise e)
+  | _ -> failwith (path ^ " exists and is not a socket")
+
+let listen_fd endpoint =
+  try
+    (match endpoint with Unix_path path -> claim_path path | Tcp _ -> ());
+    let addr = sockaddr endpoint in
+    let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
+    (try
+       (match endpoint with
+       | Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
+       | Unix_path _ -> ());
+       Unix.bind fd addr;
+       Unix.listen fd 16
+     with e ->
+       Unix.close fd;
+       raise e);
+    match (endpoint, Unix.getsockname fd) with
+    | Tcp { host; _ }, Unix.ADDR_INET (_, port) -> (fd, Tcp { host; port })
+    | _ -> (fd, endpoint)
+  with Unix.Unix_error (err, _, _) ->
+    failwith
+      (Format.asprintf "cannot listen on %a: %s" pp_endpoint endpoint
+         (Unix.error_message err))
 
 let stats_json sched =
   J.Obj
@@ -59,14 +89,29 @@ let serve ?(jobs = 1) ?(queue_limit = 64) ?max_requests ?cache_dir
     ?(io_timeout_s = 30.) ?(on_ready = fun (_ : endpoint) -> ()) endpoint =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
+  (* Listen first, so that a bad endpoint fails before the journal is
+     touched or anything else is set up.  A client that connects early
+     waits in the backlog until the accept loop starts, after recovery,
+     so its first request already hits the recovered cache. *)
+  let lfd, bound = listen_fd endpoint in
+  let release () =
+    (try Unix.close lfd with Unix.Unix_error _ -> ());
+    match bound with
+    | Unix_path path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+    | Tcp _ -> ()
+  in
+  let sched =
+    try Scheduler.create ~jobs ~queue_limit ()
+    with e ->
+      release ();
+      raise e
+  in
   (* Scoped per-request capture only records when a sink is installed;
      give the process a sink of last resort so request metrics work
      even without --metrics-out/--trace-out. *)
   let own_sink = not (Gpo_obs.enabled ()) in
   if own_sink then Gpo_obs.install Gpo_obs.null_sink;
   List.iter Gpo_obs.Counter.touch [ c_conn_timeouts; c_drain ];
-  (* Attach the journal before binding the socket: a client that can
-     connect can already hit the recovered cache. *)
   (match cache_dir with
   | None -> ()
   | Some dir -> (
@@ -74,9 +119,9 @@ let serve ?(jobs = 1) ?(queue_limit = 64) ?max_requests ?cache_dir
       | Ok _ -> ()
       | Error msg ->
           if own_sink then Gpo_obs.uninstall ();
+          Scheduler.shutdown sched;
+          release ();
           failwith (Printf.sprintf "cache-dir %s: %s" dir msg)));
-  let sched = Scheduler.create ~jobs ~queue_limit () in
-  let lfd, bound = listen_fd endpoint in
   let requests = ref 0 in
   let stop = ref false in
   (* Graceful drain: the first SIGTERM/SIGINT stops accepting (the
@@ -159,11 +204,7 @@ let serve ?(jobs = 1) ?(queue_limit = 64) ?max_requests ?cache_dir
     ~finally:(fun () ->
       restore Sys.sigterm prev_term;
       restore Sys.sigint prev_int;
-      (try Unix.close lfd with Unix.Unix_error _ -> ());
-      (match bound with
-      | Unix_path path -> (
-          try Unix.unlink path with Unix.Unix_error _ -> ())
-      | Tcp _ -> ());
+      release ();
       Scheduler.shutdown sched;
       (* The drain barrier: whatever the exit reason, every journaled
          store is fsynced before the process leaves. *)

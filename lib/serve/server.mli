@@ -20,6 +20,12 @@ type endpoint =
 
 val pp_endpoint : Format.formatter -> endpoint -> unit
 
+val sockaddr : endpoint -> Unix.sockaddr
+(** The address of an endpoint, for the server and the client alike.
+    [localhost] and [""] are the loopback address; any other host is an
+    IP literal or a name the resolver knows.  Raises [Failure
+    "unknown host \"HOST\""] otherwise. *)
+
 val serve :
   ?jobs:int ->
   ?queue_limit:int ->
@@ -35,12 +41,20 @@ val serve :
     [on_ready] fires once the socket is listening, with the {e actual}
     endpoint (TCP port resolved).
 
+    The socket listens before anything else is set up.  At a Unix path
+    the server removes only a socket that refuses connections (its
+    daemon is gone); a live socket or any other file at the path is left
+    alone.  Raises [Failure], naming the endpoint, when it cannot listen:
+    the path is in use or is not a socket, the host is unknown, or
+    [socket]/[bind]/[listen] fails.  Nothing is left set up then.
+
     [cache_dir] opts into the persistent result cache: the journal at
     [cache_dir/results.journal] is recovered ({!Harness.Result_cache.attach}
     — recovery details via {!Harness.Result_cache.last_recovery} and
-    the [Stats] reply) {e before} the socket binds, every finished
-    store is journaled, and the journal is fsynced and closed on every
-    exit path.  Raises [Failure] when the directory is unusable.
+    the [Stats] reply) {e before} the first connection is accepted,
+    every finished store is journaled, and the journal is fsynced and
+    closed on every exit path.  Raises [Failure] when the directory is
+    unusable.
 
     [io_timeout_s] (default 30, [<= 0] disables) arms per-connection
     [SO_RCVTIMEO]/[SO_SNDTIMEO] deadlines: a client that stalls

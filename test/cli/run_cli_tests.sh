@@ -394,6 +394,15 @@ expect 2 "submit --retries gives up on a dead endpoint" -- \
   submit --socket "$(mktemp -u).sock" --retries 2 --backoff-ms 1 -m over -n 3
 expect_out "connect" "the final failure names the refused connection"
 
+# --- endpoints: a bad one is a usage error, never exit 125 ------------
+
+expect 2 "serve in a missing directory is a usage error" -- \
+  serve --socket "$(mktemp -u -d)/julie.sock"
+expect_out "cannot listen on unix:" "the failure names the endpoint"
+expect 2 "submit to an unknown host is a usage error" -- \
+  submit --port 9 --host no-such-host.invalid --ping
+expect_out "unknown host" "the unknown host is named"
+
 echo
 if [ "$failures" -gt 0 ]; then
   echo "$failures CLI check(s) failed"

@@ -72,17 +72,7 @@ let test_torn_tail () =
   check_records "records before the tear survive" [ "one"; "two" ] r;
   Alcotest.(check bool) "tear detected" true r.Jn.torn;
   Alcotest.(check int) "good prefix ends where the tear starts" clean
-    r.Jn.good_bytes;
-  (* Truncating at the reported offset yields a clean file again that
-     extends correctly. *)
-  Jn.truncate path r.Jn.good_bytes;
-  let w = Jn.open_append path in
-  Jn.append w "three";
-  Jn.close w;
-  let r = Jn.read path in
-  check_records "appends after truncation extend the clean prefix"
-    [ "one"; "two"; "three" ] r;
-  Alcotest.(check bool) "healed file is not torn" false r.Jn.torn
+    r.Jn.good_bytes
 
 let test_short_header_tail () =
   with_tmp @@ fun path ->
@@ -156,8 +146,7 @@ let suite =
   [
     Alcotest.test_case "record roundtrip" `Quick test_roundtrip;
     Alcotest.test_case "missing and empty files" `Quick test_missing_and_empty;
-    Alcotest.test_case "torn tail is dropped and truncatable" `Quick
-      test_torn_tail;
+    Alcotest.test_case "torn tail is dropped" `Quick test_torn_tail;
     Alcotest.test_case "short header tail" `Quick test_short_header_tail;
     Alcotest.test_case "corrupt middle cuts the prefix" `Quick
       test_corrupt_middle;

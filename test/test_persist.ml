@@ -322,7 +322,7 @@ let test_kill9_sweep () =
     let path = journal_path dir in
     let size = (Unix.stat path).Unix.st_size in
     let cut = Random.State.int rng (size + 1) in
-    Jn.truncate path cut;
+    Unix.truncate path cut;
     RC.invalidate ();
     let r = attach_ok dir in
     (* The invariant: whatever survived is Completed, digest-matched,

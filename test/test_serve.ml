@@ -977,6 +977,96 @@ let test_retry_rides_out_restart () =
           Alcotest.failf "retries should ride out the restart: %s"
             (Serve.Client.describe_failure f))
 
+(* ------------------------------------------------------------------ *)
+(* What serving at an endpoint may replace                             *)
+
+let temp_path name =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "julie-test-%s-%d" name (Unix.getpid ()))
+
+(* Try to serve at [endpoint]: [Ok ()] if the server listened (it is
+   stopped at once, from [on_ready]), [Error msg] if it refused. *)
+let try_listen endpoint =
+  match Serve.Server.serve ~on_ready:(fun _ -> raise Exit) endpoint with
+  | () -> Alcotest.fail "serve returned without listening"
+  | exception Exit -> Ok ()
+  | exception Failure msg -> Error msg
+
+let test_serve_keeps_regular_file () =
+  let path = temp_path "notes.txt" in
+  let data = "14 bytes here\n" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc data);
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  (match try_listen (Serve.Server.Unix_path path) with
+  | Ok () -> Alcotest.fail "serve replaced a regular file with its socket"
+  | Error msg ->
+      Alcotest.(check bool) ("refusal names the file: " ^ msg) true
+        (Astring_contains.contains (path ^ " exists and is not a socket") msg));
+  Alcotest.(check string) "the file survives byte for byte" data
+    (In_channel.with_open_bin path In_channel.input_all)
+
+let test_serve_keeps_live_socket () =
+  let path = temp_path "live.sock" in
+  let endpoint = Serve.Server.Unix_path path in
+  let first = Domain.spawn (fun () -> Serve.Server.serve ~jobs:1 endpoint) in
+  (* A connection held open reaches the first server even if a second
+     one took its path over, so the first can always be stopped. *)
+  let held = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      (match !held with
+      | Some fd ->
+          ignore (Serve.Client.request fd P.Shutdown);
+          Unix.close fd
+      | None -> ignore (Serve.Client.shutdown endpoint));
+      Domain.join first;
+      try Unix.unlink path with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Alcotest.(check bool) "the first server comes up" true
+    (Serve.Client.wait_ready endpoint);
+  let fd = Serve.Client.connect endpoint in
+  held := Some fd;
+  (match try_listen endpoint with
+  | Ok () -> Alcotest.fail "a second server took over a live socket"
+  | Error msg ->
+      Alcotest.(check bool) ("refusal names the path: " ^ msg) true
+        (Astring_contains.contains (path ^ " is in use by a running server")
+           msg));
+  held := None;
+  Unix.close fd;
+  match Serve.Client.ping endpoint with
+  | Ok P.Pong -> ()
+  | Ok _ -> Alcotest.fail "expected pong"
+  | Error f ->
+      Alcotest.failf "the first server lost its path: %s"
+        (Serve.Client.describe_failure f)
+
+let test_serve_reuses_stale_socket () =
+  let path = temp_path "stale.sock" in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX path);
+  Unix.listen fd 1;
+  Unix.close fd;
+  Fun.protect ~finally:(fun () -> try Unix.unlink path with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  (match try_listen (Serve.Server.Unix_path path) with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "a stale socket was not reused: %s" msg);
+  Alcotest.(check bool) "the stopped server removed its socket" false
+    (Sys.file_exists path)
+
+(* [.invalid] is reserved (RFC 6761): no resolver answers it. *)
+let test_unknown_host_is_named () =
+  match Serve.Client.ping (Serve.Server.Tcp { host = "no-such-host.invalid"; port = 9 }) with
+  | Ok _ -> Alcotest.fail "an unknown host answered"
+  | Error f ->
+      let msg = Serve.Client.describe_failure f in
+      Alcotest.(check bool) ("the failure names the host: " ^ msg) true
+        (Astring_contains.contains "unknown host \"no-such-host.invalid\"" msg);
+      Alcotest.(check bool) "an unknown host is not retried" false
+        (Serve.Client.transient f)
+
 let suite =
   [
     Alcotest.test_case "net digest is stable content addressing" `Quick
@@ -1046,6 +1136,14 @@ let suite =
       test_retry_skips_oversized_batch;
     Alcotest.test_case "retry rides out a daemon restart" `Quick
       test_retry_rides_out_restart;
+    Alcotest.test_case "serve leaves a regular file at its path alone" `Quick
+      test_serve_keeps_regular_file;
+    Alcotest.test_case "serve refuses a path a live server listens on" `Quick
+      test_serve_keeps_live_socket;
+    Alcotest.test_case "serve reuses a stale socket" `Quick
+      test_serve_reuses_stale_socket;
+    Alcotest.test_case "an unknown host is a named, final failure" `Quick
+      test_unknown_host_is_named;
     Alcotest.test_case "a hard drain cancels portfolio jobs too" `Quick
       test_hard_drain_reaches_portfolio;
     Alcotest.test_case "a portfolio job's metrics carry its winner's engine spans"

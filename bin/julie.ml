@@ -583,7 +583,7 @@ let serve_cmd =
   let info =
     Cmd.info "serve"
       ~doc:"Run the warm-state verification daemon.  The process keeps the \
-            interned-state tables, engine memo caches and the \
+            hash-consed world-set tables, engine memo caches and the \
             content-addressed result cache alive across requests, so \
             repeated questions are answered from cache (after their witness \
             re-certifies by replay) instead of re-explored.  One \

@@ -1,19 +1,19 @@
 (* The generalized partial-order explorer.
 
-   The explorer does not depend on the iteration order of world sets,
-   which is interning order and differs between parallel runs: deviation
-   restarts are collected per state and sorted by (normal-form key, root
-   marking, transition, world) before being scheduled, and witness
-   marking lists are sorted.  This makes results deterministic run to
-   run.  The deviation scan itself, per denotation class, is [Scan].
+   The explorer does not depend on the order in which the scan meets
+   classes: deviation restarts are collected per state and sorted by
+   (normal-form key, root marking, transition, world) before being
+   scheduled, and witness marking lists are sorted.  This makes results
+   deterministic run to run.  The deviation scan itself, per denotation
+   class, is [Scan].
 
    The engine is domain-safe end to end: world sets shard their
-   hash-consing tables and share one lock-free computed table (see
-   world_set.ml), [Bitset.intern] is striped, and the explorer's own
-   per-analysis state is either walk-local or touched only by the
-   coordinating domain between waves.  Analyses run concurrently (the
-   portfolio races engines at full --jobs width) and a single analysis
-   fans its runs out over a domain pool ([analyse ~jobs]). *)
+   hash-consing table and share one lock-free computed table (see
+   world_set.ml), and the explorer's own per-analysis state is either
+   walk-local or touched only by the coordinating domain between
+   waves.  Analyses run concurrently (the portfolio races engines at
+   full --jobs width) and a single analysis fans its runs out over a
+   domain pool ([analyse ~jobs]). *)
 
 open struct
   module Bitset = Petri.Bitset
@@ -140,7 +140,7 @@ let defer_unsafe_multiples ctx partner_pre (en : Dynamics.enabling) multiples
           && Petri.Conflict.cluster_of conflict u
              = Petri.Conflict.cluster_of conflict t
           && (not (Petri.Conflict.in_conflict conflict u t))
-          && W.exists (fun v -> W.mem v en.m_enab.(u)) en.m_enab.(t)
+          && not (W.is_empty (W.inter en.m_enab.(u) en.m_enab.(t)))
         in
         if Bitset.exists clashes kept then kept else Bitset.add t kept)
       (Bitset.empty (Bitset.width multiples))
@@ -301,17 +301,18 @@ let explore ?(scan = true) ?(max_states = 1_000_000) ?(max_deadlocks = 64)
               ("worlds", Gpo_obs.I (W.cardinal (State.valid s)));
             ])
       end;
-      (* Deviation restarts discovered while processing this state.
-         World-set iteration order is interning order, which differs
-         under parallel runs, so candidates are collected and sorted by
-         content before being reported: the report order (hence
-         everything downstream) is schedule-independent. *)
+      (* Deviation restarts discovered while processing this state are
+         collected and sorted by content before being reported: the
+         report order (hence everything downstream) is independent of
+         the scan's order. *)
       let state_devs = ref [] in
       let defer candidates = state_devs := candidates @ !state_devs in
       (* The state's denotation classes, found only when some world
          needs its marking. *)
       let classes =
-        lazy (Gpo_obs.Span.time "gpo.classes" (fun () -> Scan.classify scanner s))
+        lazy
+          (Gpo_obs.Span.time "gpo.classes" (fun () ->
+               Scan.classify ?guard scanner s))
       in
       let dead = Dynamics.deadlock_worlds en s in
       if not (W.is_empty dead) then begin
@@ -344,7 +345,7 @@ let explore ?(scan = true) ?(max_states = 1_000_000) ?(max_deadlocks = 64)
       let rejections =
         if scan then begin
           let r =
-            Scan.run scanner (Lazy.force classes) ~known ~s_enab:en.s_enab
+            Scan.run ?guard scanner (Lazy.force classes) ~known ~s_enab:en.s_enab
               ~m_enab:en.m_enab ~prev:prev_rejections
           in
           List.iter

@@ -4,11 +4,17 @@
    worlds denote.  Worlds far outnumber the markings they denote (over-5
    has about 740 worlds per state but at most 11 classes), and every test
    the scan makes on a world depends only on its marking, so the scan
-   finds each state's classes in one descent of the world-set tries and
-   works per class.  Counts and least worlds stand in for the worlds a
-   class result speaks for: a candidate's world is the content-least one
-   of its class within the queried set, the world a per-world scan would
-   have sorted first. *)
+   finds each state's classes in one descent of the valid set's diagram,
+   cut wherever the conflict choices decide the marking, and works per
+   class.  The cuts are kept as a tree: a world's class is found by
+   following its transitions down it, and the classes meeting a query
+   set come from one descent of that set along it.  Counts and least
+   worlds stand in for the worlds a class result speaks for: a
+   candidate's world is the content-least one of its class within the
+   queried set, the world a per-world scan would have sorted first, and
+   it is built only for a candidate that is kept.  Normal forms fire
+   transitions in place on one marking buffer per [classify]; a key
+   becomes a set once, at the end of its walk. *)
 
 open struct
   module Bitset = Petri.Bitset
@@ -96,28 +102,35 @@ let bits = Sys.int_size
 
 let enabled_cf sc m =
   let enabled = Array.make ((sc.net.Petri.Net.n_transitions / bits) + 1) 0 in
-  Array.iter
-    (fun t ->
-      if Petri.Semantics.enabled sc.net t m then
-        enabled.(t / bits) <- enabled.(t / bits) lor (1 lsl (t mod bits)))
-    sc.cf;
+  for i = 0 to Array.length sc.cf - 1 do
+    let t = sc.cf.(i) in
+    if Bitset.subset sc.net.Petri.Net.pre.(t) m then
+      enabled.(t / bits) <- enabled.(t / bits) lor (1 lsl (t mod bits))
+  done;
   enabled
 
-let update sc enabled m t =
-  if Petri.Semantics.enabled sc.net t m then
+let update sc enabled buf t =
+  if Bitset.Buf.contains buf sc.net.Petri.Net.pre.(t) then
     enabled.(t / bits) <- enabled.(t / bits) lor (1 lsl (t mod bits))
   else enabled.(t / bits) <- enabled.(t / bits) land lnot (1 lsl (t mod bits))
 
-(* Index of the lowest set bit of a non-zero word. *)
+(* Re-check the conflict-free consumers of [t]'s post-set after [t]
+   fired on [buf]. *)
+let wake sc enabled buf t =
+  let consumers = sc.wakes.(t) in
+  for i = 0 to Array.length consumers - 1 do
+    update sc enabled buf consumers.(i)
+  done
+
+(* Index of the lowest set bit of a non-zero word, by halving. *)
 let lowest_bit x =
   let n = ref 0 and x = ref x in
-  List.iter
-    (fun (width, mask) ->
-      if !x land mask = 0 then begin
-        n := !n + width;
-        x := !x lsr width
-      end)
-    [ (32, 0xFFFF_FFFF); (16, 0xFFFF); (8, 0xFF); (4, 0xF); (2, 0x3); (1, 0x1) ];
+  if !x land 0xFFFF_FFFF = 0 then begin n := !n + 32; x := !x lsr 32 end;
+  if !x land 0xFFFF = 0 then begin n := !n + 16; x := !x lsr 16 end;
+  if !x land 0xFF = 0 then begin n := !n + 8; x := !x lsr 8 end;
+  if !x land 0xF = 0 then begin n := !n + 4; x := !x lsr 4 end;
+  if !x land 0x3 = 0 then begin n := !n + 2; x := !x lsr 2 end;
+  if !x land 0x1 = 0 then n := !n + 1;
   !n
 
 let rec lowest enabled i =
@@ -125,133 +138,141 @@ let rec lowest enabled i =
   else if enabled.(i) = 0 then lowest enabled (i + 1)
   else (i * bits) + lowest_bit enabled.(i)
 
-(* The walk of [normal_form_walk], with [enabled] (the marking's
-   enabled conflict-free transitions, updated in place) kept up to date:
-   firing a conflict-free transition disables no other, since none
-   shares its preset, so only the fired transition and the consumers of
-   its post-set need re-checking.  A walk still running after |cf| + 1
+(* The walk of [normal_form_walk] on the marking in [buf], fired in
+   place, with [enabled] (the marking's enabled conflict-free
+   transitions, updated in place) kept up to date: firing a
+   conflict-free transition disables no other, since none shares its
+   preset, so only the fired transition and the consumers of its
+   post-set need re-checking.  A walk still running after |cf| + 1
    firings may be in a cycle; it goes on as [normal_form_walk] from
    where it is, which finds the same cycle, hence the same least
    marking, as a walk from the start. *)
-let walk sc enabled marking =
-  let rec fire m steps =
+let walk sc enabled buf =
+  let net = sc.net in
+  let rec fire steps =
     let t = lowest enabled 0 in
-    if t < 0 then m
-    else if steps > Array.length sc.cf then normal_form_walk sc m
+    if t < 0 then Bitset.Buf.freeze buf
+    else if steps > Array.length sc.cf then
+      normal_form_walk sc (Bitset.Buf.freeze buf)
     else begin
-      let m' = successor sc.net m t in
-      update sc enabled m' t;
-      Array.iter (update sc enabled m') sc.wakes.(t);
-      fire m' (steps + 1)
+      Bitset.Buf.fire buf ~pre:net.Petri.Net.pre.(t) ~post:net.Petri.Net.post.(t);
+      update sc enabled buf t;
+      wake sc enabled buf t;
+      fire (steps + 1)
     end
   in
-  fire marking 0
+  fire 0
 
-let normal_form sc m = walk sc (enabled_cf sc m) m
-
-(* A choice transition shares no input place with a conflict-free one,
-   so firing it keeps every enabled conflict-free transition enabled
-   and can enable only consumers of its post-set: the successor's walk
-   starts from the marking's enabled set. *)
-let successor_normal_form sc enabled m t =
-  let m' = successor sc.net m t in
-  let enabled = Array.copy enabled in
-  Array.iter (update sc enabled m') sc.wakes.(t);
-  (m', walk sc enabled m')
+let normal_form sc m =
+  let buf = Bitset.Buf.create (Bitset.width m) in
+  Bitset.Buf.load buf m;
+  walk sc (enabled_cf sc m) buf
 
 (* ------------------------------------------------------------------ *)
 (* Denotation classes                                                  *)
 
-(* A trie lists its worlds in increasing id order, and the descent cuts
-   the valid worlds' trie into subtrees, so each cut is a run of
-   consecutive worlds in that order: the cuts' last world ids, sorted,
-   map a world to its cut by binary search. *)
 type classes = {
   markings : Bitset.t array;  (* per class *)
   enabled : int array array;  (* per class: [enabled_cf] of its marking *)
-  cuts : int;
-  cut_last : int array;  (* per cut, in trie order: its largest world id *)
-  cut_class : int array;
+  cuts : int W.cuts;  (* the valid worlds' cuts, labelled by class *)
   count : int array;  (* [iter_meeting]'s scratch, zero between calls *)
-  least : W.world array;
+  least : (unit -> W.world) array;
   touched : int array;
+  buf : Bitset.Buf.t;  (* a marking, fired in place by the normal forms *)
+  scratch : int array;  (* its enabled conflict-free transitions *)
 }
 
-let classify sc (s : State.t) =
-  let valid = State.valid s in
+let no_least () = raise Not_found
+
+(* A state can have hundreds of thousands of classes (over-9 has
+   468 750 worlds per state), so the scan polls [guard] once per 4 096
+   cuts or classes and once per rejected transition. *)
+let classify ?guard sc (s : State.t) =
   let index = Marking_table.create 64 in
-  (* A cut holds at least one world. *)
-  let cut_last = Array.make (W.cardinal valid) 0 in
-  let cut_class = Array.make (W.cardinal valid) 0 in
-  let cuts = ref 0 in
-  W.iter_uniform
-    (fun sub m ->
-      let c =
+  let n_cuts = ref 0 in
+  let cuts =
+    W.iter_uniform
+      (fun m ->
+        incr n_cuts;
+        if !n_cuts land 4095 = 0 then Guard.check_now ?guard ();
         match Marking_table.find_opt index m with
         | Some c -> c
         | None ->
             let c = Marking_table.length index in
             Marking_table.add index m c;
-            c
-      in
-      cut_last.(!cuts) <- W.fold (fun v _ -> Bitset.id v) sub (-1);
-      cut_class.(!cuts) <- c;
-      incr cuts)
-    valid s.State.m;
+            c)
+      (State.valid s) s.State.m
+  in
   let n = Marking_table.length index in
   let markings = Array.make n (Bitset.empty 0) in
   Marking_table.iter (fun m c -> markings.(c) <- m) index;
   {
     markings;
     enabled = Array.map (enabled_cf sc) markings;
-    cuts = !cuts;
-    cut_last;
-    cut_class;
+    cuts;
     count = Array.make n 0;
-    least = Array.make n (Bitset.empty 0);
+    least = Array.make n no_least;
     touched = Array.make n 0;
+    buf = Bitset.Buf.create sc.net.Petri.Net.n_places;
+    scratch = Array.make ((sc.net.Petri.Net.n_transitions / bits) + 1) 0;
   }
 
 let class_of cl v =
-  let id = Bitset.id v in
-  (* The first cut whose last world id is at least [id]. *)
-  let rec search lo hi =
-    if lo >= hi then lo
-    else begin
-      let mid = (lo + hi) / 2 in
-      if cl.cut_last.(mid) < id then search (mid + 1) hi else search lo mid
-    end
+  let rec go = function
+    | W.Cut c -> c
+    | W.Split (t, without, with_) -> go (if Bitset.mem t v then with_ else without)
+    | W.Nothing -> invalid_arg "Scan.class_of: not a valid world"
   in
-  cl.cut_class.(search 0 (cl.cuts - 1))
+  go cl.cuts
 
-(* [f c k v] for each class [c] meeting [q], with the number [k] of its
-   worlds in [q] and the content-least [v] of them.  The scratch arrays
-   spare the scan a list per call: [f] must not call [iter_meeting]. *)
+(* [f c k least] for each class [c] meeting [q], with the number [k] of
+   its worlds in [q] and a builder of the content-least of them: the
+   cuts come in content order, so a class's first cut holds it.  The
+   scratch arrays spare the scan a list per call: [f] must not call
+   [iter_meeting]. *)
 let iter_meeting cl q f =
   let n = ref 0 in
-  W.iter
-    (fun v ->
-      let c = class_of cl v in
-      let k = cl.count.(c) in
-      if k = 0 then begin
+  W.iter_cuts
+    (fun c k least ->
+      if cl.count.(c) = 0 then begin
         cl.touched.(!n) <- c;
         incr n;
-        cl.least.(c) <- v
-      end
-      else if Bitset.compare v cl.least.(c) < 0 then cl.least.(c) <- v;
-      cl.count.(c) <- k + 1)
-    q;
+        cl.least.(c) <- least
+      end;
+      cl.count.(c) <- cl.count.(c) + k)
+    cl.cuts q;
   for i = 0 to !n - 1 do
     let c = cl.touched.(i) in
-    let k = cl.count.(c) in
+    let k = cl.count.(c) and least = cl.least.(c) in
     cl.count.(c) <- 0;
-    f c k cl.least.(c)
+    cl.least.(c) <- no_least;
+    f c k least
   done
 
 let markings_meeting cl q =
   let ms = ref [] in
   iter_meeting cl q (fun c _ _ -> ms := cl.markings.(c) :: !ms);
   !ms
+
+(* The normal forms of class [c]'s marking and of its successors, in
+   the classes' buffers. *)
+let load cl c =
+  Bitset.Buf.load cl.buf cl.markings.(c);
+  Array.blit cl.enabled.(c) 0 cl.scratch 0 (Array.length cl.scratch)
+
+let class_key sc cl c =
+  load cl c;
+  walk sc cl.scratch cl.buf
+
+(* A choice transition shares no input place with a conflict-free one,
+   so firing it keeps every enabled conflict-free transition enabled and
+   can enable only consumers of its post-set: the successor's walk
+   starts from the class's enabled set. *)
+let successor_key sc cl c t =
+  load cl c;
+  Bitset.Buf.fire cl.buf ~pre:sc.net.Petri.Net.pre.(t) ~post:sc.net.Petri.Net.post.(t);
+  wake sc cl.scratch cl.buf t;
+  walk sc cl.scratch cl.buf
 
 (* ------------------------------------------------------------------ *)
 (* Deviation candidates                                                *)
@@ -277,22 +298,32 @@ let compare_candidates a b =
     end
   end
 
-let class_deviation sc cl c t =
-  successor_normal_form sc cl.enabled.(c) cl.markings.(c) t
+let deviation sc cl v t =
+  let c = class_of cl v in
+  (successor sc.net cl.markings.(c) t, successor_key sc cl c t)
 
-let deviation sc cl v t = class_deviation sc cl (class_of cl v) t
-
-let candidate sc cl ~conditional ~known t c deviations world =
-  let root, key = class_deviation sc cl c t in
+(* The successor marking and the least world are built only for a
+   candidate that is kept. *)
+let candidate sc cl ~conditional ~known t c deviations least =
+  let key = successor_key sc cl c t in
   if conditional && known key then None
-  else Some { key; root; world; transition = t; deviations; conditional }
+  else
+    Some
+      {
+        key;
+        root = successor sc.net cl.markings.(c) t;
+        world = least ();
+        transition = t;
+        deviations;
+        conditional;
+      }
 
 let restarts sc cl ~conditional ~known t q =
   let out = ref [] in
-  iter_meeting cl q (fun c k v ->
+  iter_meeting cl q (fun c k least ->
       Option.iter
         (fun dc -> out := dc :: !out)
-        (candidate sc cl ~conditional ~known t c k v));
+        (candidate sc cl ~conditional ~known t c k least));
   !out
 
 type result = {
@@ -301,13 +332,14 @@ type result = {
   rejections : W.t array;
 }
 
-let run sc cl ~known ~s_enab ~m_enab ~prev =
+let run ?guard sc cl ~known ~s_enab ~m_enab ~prev =
   (* Normal forms once per class, numbered by distinct normal form. *)
   let nf_index = Marking_table.create 64 in
   let nf_id =
     Array.mapi
-      (fun c m ->
-        let key = walk sc (Array.copy cl.enabled.(c)) m in
+      (fun c _ ->
+        if c land 4095 = 4095 then Guard.check_now ?guard ();
+        let key = class_key sc cl c in
         match Marking_table.find_opt nf_index key with
         | Some i -> i
         | None ->
@@ -334,12 +366,13 @@ let run sc cl ~known ~s_enab ~m_enab ~prev =
       rejections.(t) <- W.diff s_enab.(t) m_enab.(t);
       let rejecting = W.diff rejections.(t) prev.(t) in
       if not (W.is_empty rejecting) then begin
-        W.iter (fun u -> firing.(nf_id.(class_of cl u)) <- t) m_enab.(t);
-        iter_meeting cl rejecting (fun c k v ->
+        Guard.check_now ?guard ();
+        W.iter_cuts (fun c _ _ -> firing.(nf_id.(c)) <- t) cl.cuts m_enab.(t);
+        iter_meeting cl rejecting (fun c k least ->
             if firing.(nf_id.(c)) <> t then
               Option.iter
                 (fun dc -> candidates := dc :: !candidates)
-                (candidate sc cl ~conditional:true ~known:denoted t c k v))
+                (candidate sc cl ~conditional:true ~known:denoted t c k least))
       end)
     sc.choice;
   { denotations; candidates = !candidates; rejections }

@@ -3,11 +3,13 @@
     A {e denotation class} of a state is a marking that some of its
     valid worlds denote.  Every test the scan makes on a world depends
     on the world's marking alone, so the scan finds a state's classes in
-    one descent of the world-set tries ({!World_set.iter_uniform}) and
-    runs each test once per class.  A class's result carries the number
-    of worlds it stands for and the content-least of them, which is the
-    world a one-world-at-a-time scan would have sorted first.  See
-    DESIGN.md, note 5. *)
+    one descent of the valid set's diagram ({!World_set.iter_uniform}),
+    cut where the conflict choices decide the marking, and runs each
+    test once per class.  The sets it queries descend the same cuts
+    ({!World_set.iter_cuts}).  A class's result carries the number of
+    worlds it stands for and the content-least of them, which is the
+    world a one-world-at-a-time scan would have sorted first.  Normal
+    forms fire in place on a marking buffer.  See DESIGN.md, note 5. *)
 
 type t
 (** What the scan precomputes per analysis: the net's conflict-free
@@ -35,10 +37,13 @@ val normal_form_walk : t -> Petri.Bitset.t -> Petri.Bitset.t
 (** {1 Denotation classes} *)
 
 type classes
-(** One state's denotation classes, the map from its valid worlds to
-    them, and each class's enabled conflict-free transitions. *)
+(** One state's denotation classes, the cuts of its valid worlds that
+    map them to classes, each class's enabled conflict-free transitions,
+    and the buffers its normal forms fire in. *)
 
-val classify : t -> State.t -> classes
+val classify : ?guard:Guard.t -> t -> State.t -> classes
+(** Polls [guard] once per 4 096 cuts; a trip raises
+    {!Guard.Interrupted}. *)
 
 val markings_meeting : classes -> World_set.t -> Petri.Bitset.t list
 (** The distinct markings denoted by the worlds of a set of valid
@@ -97,6 +102,7 @@ type result = {
 }
 
 val run :
+  ?guard:Guard.t ->
   t ->
   classes ->
   known:(Petri.Bitset.t -> bool) ->
@@ -109,4 +115,5 @@ val run :
     [prev.(t)]) is covered when a world firing [t] this step denotes a
     marking of the same normal form, and otherwise yields a conditional
     candidate unless the normal form of its [t]-successor is [known] or
-    is one of the state's own. *)
+    is one of the state's own.  Polls [guard] once per 4 096 classes and
+    once per rejected transition. *)

@@ -1,18 +1,30 @@
-(* Hash-consed world sets.
+(* Hash-consed world sets: zero-suppressed decision diagrams.
 
-   A world set is a big-endian Patricia trie over the interning ids of
-   its member worlds (every inserted world is canonicalized through
-   [Petri.Bitset.intern] first).  Trie nodes are themselves hash-consed
-   through a weak unique table, so:
+   A world set is a zero-suppressed decision diagram (ZDD; Minato, DAC
+   1993) over transition variables.  A node [{var; lo; hi}] stands for
+   the worlds of [lo], which lack the node's transition, and those of
+   [hi] with the transition added.  [Empty] is the empty set and [Top]
+   the set holding only the empty world, of its bit-set width.  A node
+   whose [hi] is [Empty] is its [lo] (zero suppression), so a transition
+   no world holds costs no node, and a product of independent choices
+   is a chain of nodes rather than a leaf per world.
+
+   Variables follow [Petri.Bitset.compare]: word 0 first, and within a
+   word the sign bit first, then the other bits from the highest down.
+   Descending the diagram in that order with [hi] first at a sign bit
+   and [lo] first elsewhere meets the worlds in increasing
+   [Bitset.compare] order, so [choose] is one path and [elements] comes
+   sorted.
+
+   Nodes are hash-consed through a weak unique table, so:
 
    - structurally equal sets are physically equal ([equal] is [==]);
    - [hash] and [compare] read a stored per-node id (O(1));
-   - [cardinal] is stored in every branch (O(1));
-   - the set algebra ([union]/[inter]/[diff]/[filter_member]) is
-     memoized in one fixed-size computed table keyed on the operation
-     and both node ids, with pointer-equality short-circuits
-     ([union x x = x], and rebuilds that reproduce an operand — the
-     subset cases — return the operand itself without allocating).
+   - [cardinal] is stored in every node (O(1));
+   - the set algebra ([union]/[inter]/[diff]/[filter_member] and the
+     join of [product]) is memoized in one fixed-size computed table
+     keyed on the operation and both node ids, and a rebuild that
+     reproduces an operand returns the operand itself.
 
    The unique table is weak: nodes unreachable from any live state are
    reclaimed by the GC, so long exploration runs do not accumulate
@@ -25,11 +37,31 @@ type world = B.t
 
 type t =
   | Empty
-  | Leaf of { w : world; key : int; uid : int }
-  | Branch of { prefix : int; bit : int; l : t; r : t; uid : int; card : int }
+  | Top of { width : int; uid : int }
+  | Node of { var : int; lo : t; hi : t; uid : int; card : int }
 
-let uid = function Empty -> 0 | Leaf l -> l.uid | Branch b -> b.uid
-let cardinal = function Empty -> 0 | Leaf _ -> 1 | Branch b -> b.card
+let uid = function Empty -> 0 | Top x -> x.uid | Node n -> n.uid
+let cardinal = function Empty -> 0 | Top _ -> 1 | Node n -> n.card
+
+(* ------------------------------------------------------------------ *)
+(* The variable order                                                  *)
+
+let word_bits = Sys.int_size
+
+(* Transition [w * word_bits + b] is variable [w * word_bits +
+   (word_bits - 1 - b)]: words in order, and within a word the sign bit
+   (level 0 of the word) first.  The map is its own inverse. *)
+let level t =
+  let b = t mod word_bits in
+  t - b + (word_bits - 1 - b)
+
+let transition = level
+
+(* At a sign bit the worlds holding the transition are the smaller. *)
+let sign_bit var = var mod word_bits = 0
+
+(* Terminals sit below every variable. *)
+let var = function Node n -> n.var | Empty | Top _ -> max_int
 
 (* ------------------------------------------------------------------ *)
 (* Hash-consing                                                        *)
@@ -41,18 +73,15 @@ module Node_hash = struct
      physical equality on them decides structural equality. *)
   let equal a b =
     match (a, b) with
-    | Leaf x, Leaf y -> x.key = y.key
-    | Branch x, Branch y ->
-        x.prefix = y.prefix && x.bit = y.bit && x.l == y.l && x.r == y.r
+    | Top x, Top y -> x.width = y.width
+    | Node x, Node y -> x.var = y.var && x.lo == y.lo && x.hi == y.hi
     | _ -> false
 
   let hash = function
     | Empty -> 0
-    | Leaf x -> (x.key * 2654435761) land max_int
-    | Branch x ->
-        ((((x.prefix * 486187739) + x.bit) * 486187739 + uid x.l) * 486187739
-        + uid x.r)
-        land max_int
+    | Top x -> (x.width * 2654435761) land max_int
+    | Node x ->
+        (((x.var * 486187739) + uid x.lo) * 486187739 + uid x.hi) land max_int
 end
 
 module Unique = Weak.Make (Node_hash)
@@ -83,17 +112,20 @@ let hashcons node =
       if r == node then Gpo_obs.Counter.incr c_nodes;
       r)
 
-let leaf w =
-  let w = B.intern w in
-  hashcons (Leaf { w; key = B.id w; uid = fresh_uid () })
+let top width = hashcons (Top { width; uid = fresh_uid () })
 
-let branch prefix bit l r =
-  hashcons
-    (Branch { prefix; bit; l; r; uid = fresh_uid (); card = cardinal l + cardinal r })
+let node var lo hi =
+  if hi == Empty then lo
+  else
+    hashcons
+      (Node { var; lo; hi; uid = fresh_uid (); card = cardinal lo + cardinal hi })
 
-(* Like [branch] but tolerates children emptied by [diff]/[filter_member]. *)
-let branch0 prefix bit l r =
-  match (l, r) with Empty, t | t, Empty -> t | _ -> branch prefix bit l r
+(* [node] for a rebuild of [s]: unchanged children give [s] back
+   without a probe of the unique table. *)
+let rebuild s var lo hi =
+  match s with
+  | Node n when n.lo == lo && n.hi == hi -> s
+  | _ -> node var lo hi
 
 (* ------------------------------------------------------------------ *)
 (* The computed table                                                  *)
@@ -111,22 +143,18 @@ let branch0 prefix bit l r =
    one array store and OCaml 5 bounds data races, so a lookup reads
    some entry that was actually stored; it checks the whole key, and
    every result is a canonical node, so a hit computed on any domain is
-   right.  A lost entry costs recomputation only: within one trie
-   operation each pair of subtrees is visited at most once.  The first
-   store allocates the array, so a process that never runs the set
-   algebra pays nothing; if two domains allocate at once, one array
-   wins and the other's entries are lost.
-
-   [inter], [diff] and [filter_member] on operands of fewer than 8
-   worlds in all skip the table and count a miss: their result is a
-   subset of an operand, mostly the operand, a leaf or [Empty], cheaper
-   to recompute than the slot it would take from a larger result.  A
-   union of small sets builds nodes, so every union is cached. *)
+   right.  A lost entry costs recomputation only.  The first store
+   allocates the array, so a process that never runs the set algebra
+   pays nothing; if two domains allocate at once, one array wins and
+   the other's entries are lost.  Every operation on a node goes
+   through the table: without it an operation on a diagram would visit
+   each node once per path to it. *)
 
 type entry = { op : int; a : int; b : int; result : t }
 
 let op_union = 0 and op_inter = 1 and op_diff = 2 and op_filter = 3
-let min_size = [| 0; 8; 8; 8 |] (* by op *)
+and op_join = 4
+
 let table_size = 1 lsl 16
 let no_entry = { op = -1; a = 0; b = 0; result = Empty }
 let table = ref [||]
@@ -135,22 +163,20 @@ let slot op a b =
   let h = ((((a * 0x9E3779B1) + b) * 0x85EBCA77) + op) land max_int in
   (h lxor (h lsr 32)) land (table_size - 1)
 
-let lookup op size a b =
+let lookup op a b =
   let tbl = !table in
-  if size < min_size.(op) || Array.length tbl = 0 then None
+  if Array.length tbl = 0 then None
   else
     let e = tbl.(slot op a b) in
     if e.a = a && e.b = b && e.op = op then Some e.result else None
 
-let store op size a b result =
-  if size >= min_size.(op) then begin
-    let tbl =
-      match !table with
-      | [||] -> let t = Array.make table_size no_entry in table := t; t
-      | t -> t
-    in
-    tbl.(slot op a b) <- { op; a; b; result }
-  end
+let store op a b result =
+  let tbl =
+    match !table with
+    | [||] -> let t = Array.make table_size no_entry in table := t; t
+    | t -> t
+  in
+  tbl.(slot op a b) <- { op; a; b; result }
 
 let c_union_hit = Gpo_obs.Counter.make "worldset.union.cache_hit"
 let c_union_miss = Gpo_obs.Counter.make "worldset.union.cache_miss"
@@ -166,158 +192,68 @@ let touch_stats () =
     [ c_nodes; c_union_hit; c_union_miss; c_inter_hit; c_inter_miss;
       c_diff_hit; c_diff_miss; c_filter_hit; c_filter_miss ]
 
-(* ------------------------------------------------------------------ *)
-(* Big-endian Patricia plumbing (Okasaki & Gill; Filliâtre's Ptset).
-   Keys are the non-negative interning ids of the member worlds.       *)
+(* [memo op counters a b compute]: the table's answer for the key, or
+   [compute ()] stored under it; [counters] are the hit and miss
+   counters of the operation, if it has them. *)
+let memo op counters a b compute =
+  match lookup op a b with
+  | Some r ->
+      Option.iter (fun (hit, _) -> Gpo_obs.Counter.incr hit) counters;
+      r
+  | None ->
+      Option.iter (fun (_, miss) -> Gpo_obs.Counter.incr miss) counters;
+      let r = compute () in
+      store op a b r;
+      r
 
-let zero_bit k m = k land m = 0
-
-(* Bits strictly above [m]. *)
-let mask k m = k land lnot ((m lsl 1) - 1)
-let match_prefix k p m = mask k m = p
-
-let highest_bit x =
-  let x = x lor (x lsr 1) in
-  let x = x lor (x lsr 2) in
-  let x = x lor (x lsr 4) in
-  let x = x lor (x lsr 8) in
-  let x = x lor (x lsr 16) in
-  let x = x lor (x lsr 32) in
-  x - (x lsr 1)
-
-let branching_bit p0 p1 = highest_bit (p0 lxor p1)
-
-let join p0 t0 p1 t1 =
-  let m = branching_bit p0 p1 in
-  if zero_bit p0 m then branch (mask p0 m) m t0 t1 else branch (mask p0 m) m t1 t0
-
-let rec mem_key k = function
-  | Empty -> false
-  | Leaf { key; _ } -> key = k
-  | Branch { prefix; bit; l; r; _ } ->
-      match_prefix k prefix bit && mem_key k (if zero_bit k bit then l else r)
-
-(* [lf] is an already-consed leaf, reused physically. *)
-let rec insert lf t =
-  let k = match lf with Leaf { key; _ } -> key | _ -> assert false in
-  match t with
-  | Empty -> lf
-  | Leaf { key = j; _ } -> if j = k then t else join k lf j t
-  | Branch { prefix = p; bit = m; l; r; _ } ->
-      if match_prefix k p m then
-        if zero_bit k m then begin
-          let l' = insert lf l in
-          if l' == l then t else branch p m l' r
-        end
-        else begin
-          let r' = insert lf r in
-          if r' == r then t else branch p m l r'
-        end
-      else join k lf p t
-
-let rec remove_key k t =
-  match t with
-  | Empty -> Empty
-  | Leaf { key; _ } -> if key = k then Empty else t
-  | Branch { prefix; bit; l; r; _ } ->
-      if match_prefix k prefix bit then
-        if zero_bit k bit then begin
-          let l' = remove_key k l in
-          if l' == l then t else branch0 prefix bit l' r
-        end
-        else begin
-          let r' = remove_key k r in
-          if r' == r then t else branch0 prefix bit l r'
-        end
-      else t
+let union_counters = Some (c_union_hit, c_union_miss)
+let inter_counters = Some (c_inter_hit, c_inter_miss)
+let diff_counters = Some (c_diff_hit, c_diff_miss)
+let filter_counters = Some (c_filter_hit, c_filter_miss)
 
 (* ------------------------------------------------------------------ *)
 (* Set algebra                                                         *)
+
+(* The terminal at the end of the [lo] chain: [Top] when the set
+   holds the empty world. *)
+let rec lo_end = function Node n -> lo_end n.lo | t -> t
 
 let rec union s t =
   if s == t then s
   else
     match (s, t) with
     | Empty, x | x, Empty -> x
-    | (Leaf _ as lf), t -> insert lf t
-    | s, (Leaf _ as lf) -> insert lf s
-    | Branch sb, Branch tb -> begin
+    | Top _, Top _ -> invalid_arg "World_set.union: worlds of different widths"
+    | _ ->
         (* Fault probe on the memoized slow path only: the cheap
            structural cases above stay probe-free. *)
         Guard.Fault.probe "worldset.op";
-        let a = Int.min sb.uid tb.uid and b = Int.max sb.uid tb.uid in
-        match lookup op_union (sb.card + tb.card) a b with
-        | Some r ->
-            Gpo_obs.Counter.incr c_union_hit;
-            r
-        | None ->
-            Gpo_obs.Counter.incr c_union_miss;
-            let r =
-              if sb.bit = tb.bit && sb.prefix = tb.prefix then begin
-                let l = union sb.l tb.l and r' = union sb.r tb.r in
-                if l == sb.l && r' == sb.r then s
-                else if l == tb.l && r' == tb.r then t
-                else branch sb.prefix sb.bit l r'
-              end
-              else if sb.bit > tb.bit && match_prefix tb.prefix sb.prefix sb.bit
-              then
-                if zero_bit tb.prefix sb.bit then begin
-                  let l = union sb.l t in
-                  if l == sb.l then s else branch sb.prefix sb.bit l sb.r
-                end
-                else begin
-                  let r' = union sb.r t in
-                  if r' == sb.r then s else branch sb.prefix sb.bit sb.l r'
-                end
-              else if tb.bit > sb.bit && match_prefix sb.prefix tb.prefix tb.bit
-              then
-                if zero_bit sb.prefix tb.bit then begin
-                  let l = union s tb.l in
-                  if l == tb.l then t else branch tb.prefix tb.bit l tb.r
-                end
-                else begin
-                  let r' = union s tb.r in
-                  if r' == tb.r then t else branch tb.prefix tb.bit tb.l r'
-                end
-              else join sb.prefix s tb.prefix t
-            in
-            store op_union (sb.card + tb.card) a b r;
-            r
-      end
+        memo op_union union_counters (Int.min (uid s) (uid t))
+          (Int.max (uid s) (uid t))
+        @@ fun () ->
+        match (s, t) with
+        | Node a, _ when a.var < var t -> rebuild s a.var (union a.lo t) a.hi
+        | _, Node b when b.var < var s -> rebuild t b.var (union s b.lo) b.hi
+        | Node a, Node b ->
+            let lo = union a.lo b.lo and hi = union a.hi b.hi in
+            if lo == b.lo && hi == b.hi then t else rebuild s a.var lo hi
+        | _ -> assert false
 
 let rec inter s t =
   if s == t then s
   else
     match (s, t) with
-    | Empty, _ | _, Empty -> Empty
-    | (Leaf { key; _ } as lf), t -> if mem_key key t then lf else Empty
-    | s, (Leaf { key; _ } as lf) -> if mem_key key s then lf else Empty
-    | Branch sb, Branch tb -> begin
-        let a = Int.min sb.uid tb.uid and b = Int.max sb.uid tb.uid in
-        match lookup op_inter (sb.card + tb.card) a b with
-        | Some r ->
-            Gpo_obs.Counter.incr c_inter_hit;
-            r
-        | None ->
-            Gpo_obs.Counter.incr c_inter_miss;
-            let r =
-              if sb.bit = tb.bit && sb.prefix = tb.prefix then begin
-                let l = inter sb.l tb.l and r' = inter sb.r tb.r in
-                (* Subset detection: a rebuild that reproduces an operand
-                   returns it physically. *)
-                if l == sb.l && r' == sb.r then s
-                else if l == tb.l && r' == tb.r then t
-                else branch0 sb.prefix sb.bit l r'
-              end
-              else if sb.bit > tb.bit && match_prefix tb.prefix sb.prefix sb.bit
-              then inter (if zero_bit tb.prefix sb.bit then sb.l else sb.r) t
-              else if tb.bit > sb.bit && match_prefix sb.prefix tb.prefix tb.bit
-              then inter s (if zero_bit sb.prefix tb.bit then tb.l else tb.r)
-              else Empty
-            in
-            store op_inter (sb.card + tb.card) a b r;
-            r
-      end
+    | Empty, _ | _, Empty | Top _, Top _ -> Empty
+    | (Top _ as e), x | x, (Top _ as e) -> if lo_end x == e then e else Empty
+    | Node a, Node b ->
+        memo op_inter inter_counters (Int.min a.uid b.uid) (Int.max a.uid b.uid)
+        @@ fun () ->
+        if a.var < b.var then inter a.lo t
+        else if b.var < a.var then inter s b.lo
+        else begin
+          let lo = inter a.lo b.lo and hi = inter a.hi b.hi in
+          if lo == b.lo && hi == b.hi then t else rebuild s a.var lo hi
+        end
 
 let rec diff s t =
   if s == t then Empty
@@ -325,207 +261,270 @@ let rec diff s t =
     match (s, t) with
     | Empty, _ -> Empty
     | s, Empty -> s
-    | (Leaf { key; _ } as lf), t -> if mem_key key t then Empty else lf
-    | s, Leaf { key; _ } -> remove_key key s
-    | Branch sb, Branch tb -> begin
-        match lookup op_diff (sb.card + tb.card) sb.uid tb.uid with
-        | Some r ->
-            Gpo_obs.Counter.incr c_diff_hit;
-            r
-        | None ->
-            Gpo_obs.Counter.incr c_diff_miss;
-            let r =
-              if sb.bit = tb.bit && sb.prefix = tb.prefix then begin
-                let l = diff sb.l tb.l and r' = diff sb.r tb.r in
-                if l == sb.l && r' == sb.r then s else branch0 sb.prefix sb.bit l r'
-              end
-              else if sb.bit > tb.bit && match_prefix tb.prefix sb.prefix sb.bit
-              then
-                if zero_bit tb.prefix sb.bit then begin
-                  let l = diff sb.l t in
-                  if l == sb.l then s else branch0 sb.prefix sb.bit l sb.r
-                end
-                else begin
-                  let r' = diff sb.r t in
-                  if r' == sb.r then s else branch0 sb.prefix sb.bit sb.l r'
-                end
-              else if tb.bit > sb.bit && match_prefix sb.prefix tb.prefix tb.bit
-              then diff s (if zero_bit sb.prefix tb.bit then tb.l else tb.r)
-              else s
-            in
-            store op_diff (sb.card + tb.card) sb.uid tb.uid r;
-            r
-      end
+    | Top _, t -> if lo_end t == s then Empty else s
+    | Node a, _ ->
+        memo op_diff diff_counters a.uid (uid t) @@ fun () ->
+        if a.var < var t then rebuild s a.var (diff a.lo t) a.hi
+        else begin
+          match t with
+          | Node b when b.var < a.var -> diff s b.lo
+          | Node b -> rebuild s a.var (diff a.lo b.lo) (diff a.hi b.hi)
+          | Empty | Top _ -> assert false
+        end
 
-let rec subset s t =
-  s == t
-  ||
-  match (s, t) with
-  | Empty, _ -> true
-  | _, Empty -> false
-  | Leaf { key; _ }, t -> mem_key key t
-  | Branch _, Leaf _ -> false
-  | Branch sb, Branch tb ->
-      if sb.bit = tb.bit && sb.prefix = tb.prefix then
-        subset sb.l tb.l && subset sb.r tb.r
-      else if sb.bit < tb.bit && match_prefix sb.prefix tb.prefix tb.bit then
-        subset s (if zero_bit sb.prefix tb.bit then tb.l else tb.r)
-      else false
+let subset s t = s == t || diff s t == Empty
 
+(* The worlds holding [tr]: above its variable the diagram is rebuilt,
+   at it only the [hi] side stays, and below it no world holds [tr]. *)
 let filter_member tr s =
+  let l = level tr in
   let rec go s =
     match s with
-    | Empty -> Empty
-    | Leaf { w; _ } -> if B.mem tr w then s else Empty
-    | Branch b -> begin
-        match lookup op_filter b.card tr b.uid with
-        | Some r ->
-            Gpo_obs.Counter.incr c_filter_hit;
-            r
-        | None ->
-            Gpo_obs.Counter.incr c_filter_miss;
-            let l = go b.l and r' = go b.r in
-            let r = if l == b.l && r' == b.r then s else branch0 b.prefix b.bit l r' in
-            store op_filter b.card tr b.uid r;
-            r
-      end
+    | Empty | Top _ -> Empty
+    | Node n when n.var > l -> Empty
+    | Node n when n.var = l && n.lo == Empty -> s
+    | Node n ->
+        memo op_filter filter_counters tr n.uid @@ fun () ->
+        if n.var = l then node l Empty n.hi else rebuild s n.var (go n.lo) (go n.hi)
   in
   go s
 
+(* Minato's join: the unions [a ∪ b] of a world of [s] and one of [t].
+   [poll] runs once per node the join conses. *)
+let rec join poll s t =
+  match (s, t) with
+  | Empty, _ | _, Empty -> Empty
+  | Top _, x | x, Top _ -> x
+  | Node a, Node b ->
+      memo op_join None (Int.min a.uid b.uid) (Int.max a.uid b.uid) @@ fun () ->
+      let mk var lo hi = poll (); node var lo hi in
+      if a.var < b.var then mk a.var (join poll a.lo t) (join poll a.hi t)
+      else if b.var < a.var then mk b.var (join poll s b.lo) (join poll s b.hi)
+      else
+        mk a.var (join poll a.lo b.lo)
+          (union (join poll a.hi b.hi)
+             (union (join poll a.hi b.lo) (join poll a.lo b.hi)))
+
 (* ------------------------------------------------------------------ *)
-(* The rest of the signature                                           *)
+(* Worlds                                                              *)
+
+(* [prefix] plus the content-least world of [t]: at a sign bit the
+   worlds with the transition are the smaller, elsewhere those without
+   it, if any. *)
+let least prefix t =
+  let rec go t acc =
+    match t with
+    | Empty -> raise Not_found
+    | Top x ->
+        let b = B.Buf.create x.width in
+        List.iter (B.Buf.add b) acc;
+        B.Buf.freeze b
+    | Node n ->
+        if sign_bit n.var || n.lo == Empty then go n.hi (transition n.var :: acc)
+        else go n.lo acc
+  in
+  go t prefix
+
+let choose t = least [] t
+
+let rec width_of = function
+  | Empty -> 0
+  | Top x -> x.width
+  | Node n -> width_of n.hi
+
+(* The worlds in increasing [Bitset.compare] order, built in one buffer
+   along the descent. *)
+let iter f t =
+  let buf = B.Buf.create (width_of t) in
+  let rec go = function
+    | Empty -> ()
+    | Top _ -> f (B.Buf.freeze buf)
+    | Node n ->
+        let tr = transition n.var in
+        let with_ () =
+          B.Buf.add buf tr;
+          go n.hi;
+          B.Buf.remove buf tr
+        in
+        if sign_bit n.var then begin
+          with_ ();
+          go n.lo
+        end
+        else begin
+          go n.lo;
+          with_ ()
+        end
+  in
+  go t
+
+let fold f t acc =
+  let acc = ref acc in
+  iter (fun w -> acc := f w !acc) t;
+  !acc
+
+let exists p t =
+  let exception Found in
+  try
+    iter (fun w -> if p w then raise Found) t;
+    false
+  with Found -> true
+
+let for_all p t = not (exists (fun w -> not (p w)) t)
+
+let elements t = List.rev (fold List.cons t [])
+
+(* Follow the world's transitions; it is a member when the path ends
+   at [Top] having taken a [hi] edge for every one of them. *)
+let mem w t =
+  let width = B.width w in
+  let rec go t taken =
+    match t with
+    | Empty -> false
+    | Top x -> x.width = width && taken = B.cardinal w
+    | Node n ->
+        let tr = transition n.var in
+        if tr < width && B.mem tr w then go n.hi (taken + 1) else go n.lo taken
+  in
+  go t 0
+
+(* One variable at a time over the sorted distinct worlds: the ones
+   without the variable's transition go [lo], the others [hi]. *)
+let of_list worlds =
+  match List.sort_uniq B.compare worlds with
+  | [] -> Empty
+  | w :: _ as worlds ->
+      let width = B.width w in
+      if List.exists (fun v -> B.width v <> width) worlds then
+        invalid_arg "World_set.of_list: worlds of different widths";
+      let levels = (width + word_bits - 1) / word_bits * word_bits in
+      let one = top width in
+      let rec build worlds lvl =
+        match worlds with
+        | [] -> Empty
+        | [ _ ] when lvl >= levels -> one
+        | _ ->
+            let tr = transition lvl in
+            if tr >= width then build worlds (lvl + 1)
+            else begin
+              let with_, without = List.partition (B.mem tr) worlds in
+              node lvl (build without (lvl + 1)) (build with_ (lvl + 1))
+            end
+      in
+      build worlds 0
 
 let empty = Empty
 let is_empty = function Empty -> true | _ -> false
-let singleton w = leaf w
-let add w t = insert (leaf w) t
-
-let mem w t =
-  match t with Empty -> false | _ -> mem_key (B.id (B.intern w)) t
+let singleton w = of_list [ w ]
+let add w t = union (singleton w) t
 
 let equal a b = a == b
 let compare a b = Int.compare (uid a) (uid b)
 let hash t = (uid t * 2654435761) land max_int
 
-(* Content-minimal element: trie order is interning order, which
-   depends on the global interleaving of [Bitset.intern] calls, so the
-   leftmost leaf would differ run-to-run under parallel interning.  The
-   minimum by [Bitset.compare] is a pure function of the set's
-   contents. *)
-let rec choose = function
-  | Empty -> raise Not_found
-  | Leaf { w; _ } -> w
-  | Branch { l; r; _ } ->
-      let a = choose l and b = choose r in
-      if B.compare a b <= 0 then a else b
+(* ------------------------------------------------------------------ *)
+(* Denotation cuts                                                     *)
 
-let rec iter f = function
-  | Empty -> ()
-  | Leaf { w; _ } -> f w
-  | Branch { l; r; _ } ->
-      iter f l;
-      iter f r
+type 'a cuts = Nothing | Cut of 'a | Split of int * 'a cuts * 'a cuts
 
-let rec fold f t acc =
-  match t with
-  | Empty -> acc
-  | Leaf { w; _ } -> f w acc
-  | Branch { l; r; _ } -> fold f r (fold f l acc)
-
-(* One descent of [r]'s trie carrying only the undecided sets, each cut
-   down to its part under the current node.  Every [sets.(i)] is a
-   subset of [r], so a part that is neither empty nor the whole subtree
-   (physically: both are canonical) splits along the node's branching
-   bit; a leaf always decides, since its only subsets are itself and
-   [Empty]. *)
+(* One descent of [r] carrying only the undecided sets, each cut down
+   to its part under the current node.  A part is a subset of the node,
+   so it is decided when it is [Empty] or the node itself (physically:
+   both are canonical), and otherwise splits along the node's variable.
+   Sets that are the same node go down as one group, and the marking of
+   the decided ones lives in one buffer, marked on the way down and
+   cleared on the way back. *)
 let iter_uniform f r sets =
-  let rec go node members undecided =
-    let members = ref members and open_ = ref [] in
-    List.iter
-      (fun ((i, part) as d) ->
-        if part == node then members := B.add i !members
-        else if part != Empty then open_ := d :: !open_)
-      undecided;
-    match (!open_, node) with
-    | [], _ -> f node !members
-    | open_, Branch { bit; l; r; _ } ->
-        let left = ref [] and right = ref [] in
-        List.iter
-          (fun ((i, part) as d) ->
-            match part with
-            | Branch q when q.bit = bit ->
-                left := (i, q.l) :: !left;
-                right := (i, q.r) :: !right
-            | Branch { prefix = k; _ } | Leaf { key = k; _ } ->
-                if zero_bit k bit then left := d :: !left else right := d :: !right
-            | Empty -> ())
-          open_;
-        go l !members !left;
-        go r !members !right
-    | _ :: _, (Empty | Leaf _) ->
-        invalid_arg "World_set.iter_uniform: not a subset"
-  in
-  if r != Empty then
-    go r
-      (B.empty (Array.length sets))
-      (List.mapi (fun i part -> (i, part)) (Array.to_list sets))
-
-let rec for_all p = function
-  | Empty -> true
-  | Leaf { w; _ } -> p w
-  | Branch { l; r; _ } -> for_all p l && for_all p r
-
-let rec exists p = function
-  | Empty -> false
-  | Leaf { w; _ } -> p w
-  | Branch { l; r; _ } -> exists p l || exists p r
-
-let elements t =
-  (* Trie order is interning order; sort so the listing is a function
-     of the contents (and [pp] stays deterministic). *)
-  List.sort B.compare (fold (fun w acc -> w :: acc) t [])
-
-(* Bottom-up: the worlds are interned once and sorted by key, and each
-   trie node is consed once.  Splitting a sorted run of keys at the
-   highest bit on which its ends differ yields exactly the canonical
-   trie that inserting the worlds one by one would.  The guard is
-   polled once per 4 096 worlds interned and at every trie node over
-   4 096 worlds, so a set built in milliseconds never polls. *)
-let of_list_guarded ?guard worlds =
-  let poll i = if i land 4095 = 4095 then Guard.check_now ?guard () in
-  (* Equal worlds intern to one leaf. *)
-  let leaves =
-    Array.of_list
-      (List.sort_uniq
-         (fun a b -> Int.compare (B.id a) (B.id b))
-         (List.mapi (fun i w -> poll i; B.intern w) worlds))
-  in
-  let key i = B.id leaves.(i) in
-  let rec build lo hi =
-    if hi - lo > 4096 then Guard.check_now ?guard ();
-    if hi - lo = 1 then leaf leaves.(lo)
+  let marking = B.Buf.create (Array.length sets) in
+  let groups = Hashtbl.create 16 in
+  Array.iteri
+    (fun i part ->
+      if part != Empty then
+        match Hashtbl.find_opt groups (uid part) with
+        | Some (_, members) -> members := i :: !members
+        | None -> Hashtbl.add groups (uid part) (part, ref [ i ]))
+    sets;
+  let rec go node undecided =
+    if node == Empty then Nothing
     else begin
-      let bit = branching_bit (key lo) (key (hi - 1)) in
-      let mid = ref lo in
-      while zero_bit (key !mid) bit do incr mid done;
-      branch (mask (key lo) bit) bit (build lo !mid) (build !mid hi)
+      let marked = ref [] and open_ = ref [] in
+      List.iter
+        (fun ((part, members) as g) ->
+          if part == node then begin
+            List.iter (B.Buf.add marking) members;
+            marked := members :: !marked
+          end
+          else if part != Empty then open_ := g :: !open_)
+        undecided;
+      let cuts =
+        match (!open_, node) with
+        | [], _ -> Cut (f (B.Buf.freeze marking))
+        | open_, Node n ->
+            let lo = ref [] and hi = ref [] in
+            List.iter
+              (fun ((part, members) as g) ->
+                match part with
+                | Node q when q.var = n.var ->
+                    lo := (q.lo, members) :: !lo;
+                    hi := (q.hi, members) :: !hi
+                | _ -> lo := g :: !lo)
+              open_;
+            (* Content order: at a sign bit the [hi] side first. *)
+            if sign_bit n.var then begin
+              let with_ = go n.hi !hi in
+              Split (transition n.var, go n.lo !lo, with_)
+            end
+            else begin
+              let without = go n.lo !lo in
+              Split (transition n.var, without, go n.hi !hi)
+            end
+        | _ :: _, (Empty | Top _) -> invalid_arg "World_set.iter_uniform: not a subset"
+      in
+      List.iter (List.iter (B.Buf.remove marking)) !marked;
+      cuts
     end
   in
-  if Array.length leaves = 0 then Empty else build 0 (Array.length leaves)
+  go r (Hashtbl.fold (fun _ (part, members) acc -> (part, !members) :: acc) groups [])
 
-let of_list worlds = of_list_guarded worlds
+(* [q] splits along the cuts as [r] did: at a split the part's top
+   variable is the split's or a later one. *)
+let iter_cuts f cuts q =
+  let rec go cuts q prefix =
+    if q != Empty then
+      match cuts with
+      | Nothing -> invalid_arg "World_set.iter_cuts: not a subset"
+      | Cut x -> f x (cardinal q) (fun () -> least prefix q)
+      | Split (tr, without, with_) ->
+          let l = level tr in
+          let q0, q1 =
+            match q with
+            | Node n when n.var = l -> (n.lo, n.hi)
+            | Node n when n.var < l -> invalid_arg "World_set.iter_cuts: not a subset"
+            | _ -> (q, Empty)
+          in
+          if sign_bit l then begin
+            go with_ q1 (tr :: prefix);
+            go without q0 prefix
+          end
+          else begin
+            go without q0 prefix;
+            go with_ q1 (tr :: prefix)
+          end
+  in
+  go cuts q []
 
-(* One pass: the product's worlds are plain bit-set unions, and only
-   the final ones are interned (two factors may union to the same
-   world; [of_list_guarded] keeps one). *)
+(* ------------------------------------------------------------------ *)
+(* Products                                                            *)
+
+(* The join of the factors, from the set of the empty world.  The guard
+   is polled once per 4 096 nodes the join conses, so a product built
+   in milliseconds never polls. *)
 let product ?guard width factors =
-  of_list_guarded ?guard
-    (List.fold_left
-       (fun prefixes factor ->
-         List.concat_map
-           (fun prefix -> fold (fun w out -> B.union prefix w :: out) factor [])
-           prefixes)
-       [ B.empty width ] factors)
+  let made = ref 0 in
+  let poll () =
+    incr made;
+    if !made land 4095 = 0 then Guard.check_now ?guard ()
+  in
+  List.fold_left (join poll) (top width) factors
 
 let pp ?name () ppf ws =
   Format.fprintf ppf "{%a}"

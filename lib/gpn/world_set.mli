@@ -7,12 +7,15 @@
     both the content [m(p)] of a GPN place and the valid-set component
     [r] of a GPN state are world sets.
 
-    The representation is a big-endian Patricia trie over the interning
-    ids ({!Petri.Bitset.id}) of its member worlds, with trie nodes
-    canonicalized through a weak unique table.  Structurally equal sets
-    are physically equal, [hash] and [cardinal] are O(1), and the set
-    algebra is memoized in one fixed-size computed table shared by every
-    domain.  See DESIGN.md, "The interning layer". *)
+    The representation is a zero-suppressed decision diagram (Minato,
+    DAC 1993) over transition variables, ordered as
+    {!Petri.Bitset.compare} orders worlds: word 0 first, and within a
+    word the sign bit first, then the other bits from the highest down.
+    Nodes are canonicalized through a weak unique table: structurally
+    equal sets are physically equal, [hash] and [cardinal] are O(1), and
+    the set algebra is memoized in one fixed-size computed table shared
+    by every domain.  See DESIGN.md, "World sets as decision
+    diagrams". *)
 
 type t
 
@@ -41,25 +44,43 @@ val hash : t -> int
 val cardinal : t -> int
 
 val choose : t -> world
-(** The minimum element by {!Petri.Bitset.compare}; raises
-    [Not_found] on the empty set.  Content-determined so witness
-    traces are reproducible across parallel runs (interning order is
-    not). *)
+(** The minimum element by {!Petri.Bitset.compare}, found along one
+    path of the diagram (the variable order follows that order); raises
+    [Not_found] on the empty set.  Content-determined, so witness traces
+    are reproducible across parallel runs. *)
 
 val filter_member : int -> t -> t
 (** [filter_member t ws] keeps the worlds containing transition [t] —
     the core of the multiple enabling rule (Definition 3.5). *)
 
-val iter_uniform : (t -> Petri.Bitset.t -> unit) -> t -> t array -> unit
+type 'a cuts =
+  | Nothing  (** no world *)
+  | Cut of 'a
+  | Split of int * 'a cuts * 'a cuts
+      (** [Split (t, without, with_)]: the worlds without transition [t],
+          and those with it *)
+(** A partition of a world set by the transitions its worlds hold. *)
+
+val iter_uniform : (Petri.Bitset.t -> 'a) -> t -> t array -> 'a cuts
 (** [iter_uniform f r sets], where every [sets.(i)] is a subset of [r],
-    calls [f sub members] once per maximal subtree [sub] of [r]'s trie
-    on which each [sets.(i)] is either empty or all of [sub]; [members]
-    is the set of those [i] with [sub ⊆ sets.(i)], of width
-    [Array.length sets].  The subtrees partition [r], and they come in
-    trie order, which is interning order.  With a GPN state's place
-    contents as [sets], [members] is the marking every world of [sub]
-    denotes.  One descent, carrying down only the sets not yet
-    decided. *)
+    descends [r]'s diagram and cuts it wherever each [sets.(i)] is
+    either empty or all of the part below; at each cut it calls [f
+    members], where [members] is the set of those [i] whose set holds
+    the part, of width [Array.length sets], and the result is the tree
+    of cuts.  The cuts partition [r], and [f] meets them in increasing
+    order of their worlds.  With a GPN state's place contents as [sets],
+    [members] is the marking every world of the cut denotes, and a cut
+    falls where the choices taken so far, in the variable order, decide
+    it.  One descent,
+    carrying down only the sets not yet decided; a world's cut is found
+    by following its transitions down the tree. *)
+
+val iter_cuts : ('a -> int -> (unit -> world) -> unit) -> 'a cuts -> t -> unit
+(** [iter_cuts f cuts q], for [cuts] from [iter_uniform _ r _] and [q] a
+    subset of [r]: [f x k least] for each cut [Cut x] that [q] meets, in
+    increasing order of their worlds, where [k] is the number of [q]'s
+    worlds in the cut and [least ()] builds the content-least of them.
+    One descent of [q] along the tree. *)
 
 val iter : (world -> unit) -> t -> unit
 val fold : (world -> 'a -> 'a) -> t -> 'a -> 'a
@@ -76,10 +97,10 @@ val product : ?guard:Guard.t -> int -> t list -> t
     every choice of [wi] in the [i]-th factor — used to build the
     initial valid sets [r0] as the product of per-cluster alternatives.
     [width] is the bit-set width used when [factors] is empty (the
-    result is then the singleton of the empty world).  A product can
-    hold hundreds of thousands of worlds, so it polls [guard] once per
-    4 096 worlds it interns and at every trie node over 4 096 worlds; a
-    trip raises {!Guard.Interrupted}. *)
+    result is then the singleton of the empty world).  It is the join of
+    the factors' diagrams; a product can take many nodes, so it polls
+    [guard] once per 4 096 nodes the join makes, and a trip raises
+    {!Guard.Interrupted}. *)
 
 val touch_stats : unit -> unit
 (** Mark the [worldset.*] telemetry counters active so they appear in
@@ -96,7 +117,7 @@ val clear_caches : unit -> unit
     to measure cold starts. *)
 
 val advance_node_ids : int -> unit
-(** [advance_node_ids n] makes every trie node created from now on take
+(** [advance_node_ids n] makes every diagram node created from now on take
     an id of at least [n]; it never lowers the id counter.  Node ids are
     process-wide and never reused, so a long-lived process reaches any
     bound eventually; tests use this to get there at once. *)

@@ -122,8 +122,8 @@ val relieve_memory : unit -> unit
 
     A global, seeded schedule of simulated faults at named probe
     points in the engine hot loops ([Reachability]/[Stubborn] share
-    ["reach.step"]; ["gpo.step"], ["smv.iter"]; the interning layer
-    has ["bitset.intern"] and ["worldset.op"]; the witness walk-backs
+    ["reach.step"]; ["gpo.step"], ["smv.iter"]; the world-set algebra
+    has ["worldset.op"]; the witness walk-backs
     have ["reach.witness"], ["smv.witness"], ["gpo.witness"]; the
     structural reduction pipeline probes ["reduce.rule"] once per rule
     pass).  When disabled — the default — a probe is one atomic load

@@ -4,16 +4,14 @@
    work word-wise without masking.
 
    Every set carries a structural digest computed at construction (the
-   words were just touched anyway, so the extra pass is cheap) and a
-   mutable interning tag.  [intern] canonicalizes a set through a weak
-   unique table: interned sets are physically unique, so [equal] gets a
-   pointer fast path, [hash] is the stored digest, and [id] yields a
-   dense integer usable as a hash-cons key by client structures
-   (notably the GPN world sets). *)
+   words were just touched anyway, so the extra pass is cheap), so
+   [hash] is O(1) and [equal] rejects most unequal sets on the digest.
+   A [Buf] is the one mutable form: hot loops update a buffer in place
+   and freeze the result once. *)
 
 let bits_per_word = Sys.int_size
 
-type t = { width : int; words : int array; digest : int; mutable tag : int }
+type t = { width : int; words : int array; digest : int }
 
 let width s = s.width
 
@@ -24,7 +22,7 @@ let compute_digest width words =
   Array.fold_left (fun h w -> (h * 486187739) + (w lxor (w lsr 31))) width words
   land max_int
 
-let make width words = { width; words; digest = compute_digest width words; tag = -1 }
+let make width words = { width; words; digest = compute_digest width words }
 
 let n_words width =
   if width = 0 then 0 else ((width - 1) / bits_per_word) + 1
@@ -94,80 +92,30 @@ let diff a b = binop "diff" (fun x y -> x land lnot y) a b
 let is_empty s = Array.for_all (fun w -> w = 0) s.words
 
 let equal a b =
-  a == b
-  || (a.tag < 0 || b.tag < 0)
-     (* Two distinct interned sets are never equal; otherwise fall back
-        to the digest filter and the word-wise comparison. *)
-     && a.digest = b.digest && a.width = b.width && a.words = b.words
+  a == b || (a.digest = b.digest && a.width = b.width && a.words = b.words)
 
+(* The order of [Stdlib.compare] on the words, without its generic
+   traversal: the first differing word decides, as a signed int, so a
+   word with its sign bit (bit [bits_per_word - 1]) set is the smaller.
+   [Gpn.World_set]'s variable order follows this order. *)
 let compare a b =
   if a == b then 0
   else begin
     let c = Int.compare a.width b.width in
-    if c <> 0 then c else Stdlib.compare a.words b.words
+    if c <> 0 then c
+    else begin
+      let wa = a.words and wb = b.words in
+      let n = Array.length wa in
+      let rec loop i =
+        if i >= n then 0
+        else if wa.(i) = wb.(i) then loop (i + 1)
+        else Int.compare wa.(i) wb.(i)
+      in
+      loop 0
+    end
   end
 
 let hash s = s.digest
-
-(* ------------------------------------------------------------------ *)
-(* Interning                                                           *)
-
-module Interned = Weak.Make (struct
-  type nonrec t = t
-
-  let equal a b = a.width = b.width && a.words = b.words
-  let hash s = s.digest
-end)
-
-(* The unique table is striped: 64 independent weak buckets keyed by
-   digest, each behind its own short-held mutex.  Equal sets always
-   hash to the same stripe, so canonicalization still serialises per
-   content — but concurrent interning from N domains (the parallel GPN
-   explorer, the portfolio racer) only contends on digest collisions
-   instead of funnelling through one process-wide lock.  Every stripe
-   lock probes under the same site name, so their wait times merge into
-   the single obs.lock.wait.bitset.intern histogram (Dist.make dedupes
-   by name; Lock.make does not, so the mutexes stay independent). *)
-let n_stripes = 64
-
-let stripe_tables = Array.init n_stripes (fun _ -> Interned.create 256)
-
-let stripe_locks =
-  Array.init n_stripes (fun _ -> Gpo_obs.Lock.make "bitset.intern")
-
-let next_tag = Atomic.make 0
-let c_interned = Gpo_obs.Counter.make "bitset.interned"
-
-let intern s =
-  if s.tag >= 0 then s
-  else begin
-    (* Fault probe sits before the lock: an injected failure must not
-       leave a stripe lock held. *)
-    Guard.Fault.probe "bitset.intern";
-    let i = s.digest land (n_stripes - 1) in
-    Gpo_obs.Lock.with_lock stripe_locks.(i) (fun () ->
-        let r = Interned.merge stripe_tables.(i) s in
-        if r == s && s.tag < 0 then begin
-          (* Fresh canonical representative: assign its identity.  The
-             tag write happens under the stripe lock, and any equal set
-             lands on this same stripe, so a tag is assigned exactly
-             once per canonical content. *)
-          s.tag <- Atomic.fetch_and_add next_tag 1;
-          Gpo_obs.Counter.incr c_interned
-        end;
-        r)
-  end
-
-let interned s = s.tag >= 0
-
-let id s =
-  if s.tag < 0 then invalid_arg "Bitset.id: set is not interned";
-  s.tag
-
-let interned_count () =
-  Array.fold_left (fun acc t -> acc + Interned.count t) 0 stripe_tables
-
-(* ------------------------------------------------------------------ *)
 
 let rec subset_words wa wb i =
   i < 0 || (wa.(i) land lnot wb.(i) = 0 && subset_words wa wb (i - 1))
@@ -233,3 +181,44 @@ let pp ?(name = string_of_int) () ppf s =
     (elements s)
 
 let to_string ?name s = Format.asprintf "%a" (pp ?name ()) s
+
+module Buf = struct
+  type bitset = t
+  type t = { width : int; words : int array }
+
+  let create width = { width; words = Array.make (n_words width) 0 }
+
+  let check fname (b : t) (s : bitset) =
+    if b.width <> s.width then
+      invalid_arg
+        (Printf.sprintf "Bitset.Buf.%s: width mismatch (%d vs %d)" fname b.width
+           s.width)
+
+  let load b (s : bitset) =
+    check "load" b s;
+    Array.blit s.words 0 b.words 0 (Array.length b.words)
+
+  let add b i =
+    check_elt "Buf.add" b.width i;
+    let w = i / bits_per_word in
+    b.words.(w) <- b.words.(w) lor (1 lsl (i mod bits_per_word))
+
+  let remove b i =
+    check_elt "Buf.remove" b.width i;
+    let w = i / bits_per_word in
+    b.words.(w) <- b.words.(w) land lnot (1 lsl (i mod bits_per_word))
+
+  let fire b ~(pre : bitset) ~(post : bitset) =
+    check "fire" b pre;
+    check "fire" b post;
+    let words = b.words in
+    for i = 0 to Array.length words - 1 do
+      words.(i) <- (words.(i) land lnot pre.words.(i)) lor post.words.(i)
+    done
+
+  let contains b (s : bitset) =
+    check "contains" b s;
+    subset_words s.words b.words (Array.length b.words - 1)
+
+  let freeze b = make b.width (Array.copy b.words)
+end

@@ -1,8 +1,9 @@
-(** Immutable fixed-width bit sets.
+(** Immutable fixed-width bit sets, and mutable buffers to build them.
 
     A value of type {!t} represents a subset of [{0, ..., width - 1}].
     All operations are purely functional; the underlying words are never
-    mutated after construction.  Bit sets are the canonical representation
+    mutated after construction.  A {!Buf.t} is the mutable form, for
+    loops that would otherwise allocate a set per step.  Bit sets are the canonical representation
     for safe Petri-net markings (sets of marked places) and for transition
     sets (the "colors" of Generalized Petri Nets). *)
 
@@ -52,34 +53,16 @@ val equal : t -> t -> bool
 (** Structural equality of sets (same width and same elements). *)
 
 val compare : t -> t -> int
-(** A total order compatible with {!equal}, suitable for [Map]/[Set]. *)
+(** A total order compatible with {!equal}, suitable for [Map]/[Set]:
+    by width, then by the words of the sets, lowest first, each compared
+    as a signed int (the order of [Stdlib.compare] on the words).  So
+    within a word the highest bit decides, except that the word's sign
+    bit, bit [Sys.int_size - 1], makes a word smaller; world sets order
+    their variables by it (see [Gpn.World_set.choose]). *)
 
 val hash : t -> int
 (** A hash compatible with {!equal}.  O(1): every set stores its digest,
     computed once at construction. *)
-
-val intern : t -> t
-(** [intern s] is the canonical physical representative of [s], looked
-    up (or installed) in a global weak unique table.  Two interned sets
-    are equal iff they are physically equal, so hash-table probes on
-    interned sets degenerate to pointer comparisons.  The table holds
-    its entries weakly: representatives unreachable from client data
-    are reclaimed by the GC, so long-running analyses do not leak.
-    Idempotent; [intern s == intern s'] whenever [equal s s']. *)
-
-val interned : t -> bool
-(** [interned s] is [true] iff [s] is a canonical representative
-    returned by {!intern}. *)
-
-val id : t -> int
-(** A dense non-negative integer identifying an interned set — the key
-    clients use to hash-cons structures over sets (GPN world sets key
-    their trie nodes on it).  Ids are assigned in interning order and
-    never reused.  Raises [Invalid_argument] if [s] is not interned. *)
-
-val interned_count : unit -> int
-(** Number of live entries in the unique table (weak: collected
-    representatives are not counted). *)
 
 val subset : t -> t -> bool
 (** [subset a b] is [true] iff every element of [a] belongs to [b]. *)
@@ -117,3 +100,32 @@ val pp : ?name:(int -> string) -> unit -> Format.formatter -> t -> unit
 
 val to_string : ?name:(int -> string) -> t -> string
 (** String version of {!pp}. *)
+
+(** Mutable bit sets of a fixed width, updated in place and frozen
+    into a {!t} once: the deviation scan fires transitions on a marking
+    buffer, and world sets build their worlds in one. *)
+module Buf : sig
+  type bitset := t
+  type t
+
+  val create : int -> t
+  (** [create width] is an empty buffer. *)
+
+  val load : t -> bitset -> unit
+  (** [load b s] makes [b] hold exactly [s], of the same width. *)
+
+  val add : t -> int -> unit
+  val remove : t -> int -> unit
+
+  val fire : t -> pre:bitset -> post:bitset -> unit
+  (** [fire b ~pre ~post] makes [b] hold [(b \ pre) ∪ post]: a
+      transition's firing on a safe marking. *)
+
+  val contains : t -> bitset -> bool
+  (** [contains b s] is [true] iff [s ⊆ b]: with a preset as [s], the
+      transition is enabled. *)
+
+  val freeze : t -> bitset
+  (** The buffer's contents as an immutable set; the buffer stays
+      usable. *)
+end

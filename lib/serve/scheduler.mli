@@ -4,11 +4,11 @@
     One scheduler owns one {!Par.Pool}; every submitted batch fans its
     jobs out over the pool's worker domains.  Because the scheduler
     lives as long as the server process, everything the engines warm up
-    — the sharded {!Petri.Bitset.intern} tables, the world-set computed
-    table, the {!Harness.Result_cache} — stays warm across batches:
-    the first request pays cold-start, later identical requests are
-    O(1) cache hits and near-identical ones reuse the interned
-    universe.
+    — the world-set unique table and computed table, the
+    {!Harness.Result_cache} — stays warm across batches: the first
+    request pays cold-start, later identical requests are O(1) cache
+    hits and near-identical ones reuse the hash-consed world-set
+    nodes.
 
     {b Admission control.}  A batch of more than [queue_limit] jobs is
     refused {e whole} with a typed {!Protocol.response.Rejected}

@@ -1,7 +1,7 @@
 (** The warm-state verification daemon.
 
     One server process owns one {!Scheduler} — one worker pool, one
-    result cache, one set of interned-universe tables — and answers
+    result cache, one set of world-set tables — and answers
     {!Protocol} requests over a listening socket, connection by
     connection.  Because the process outlives the requests, the second
     identical question costs a cache lookup plus a witness replay

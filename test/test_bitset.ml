@@ -75,63 +75,6 @@ let test_to_string () =
 
 (* Property tests *)
 
-(* The sharded unique table under concurrent interning: several domains
-   intern overlapping random contents at once, and every domain must get
-   the same canonical representative with the same stable id. *)
-let test_concurrent_interning () =
-  let width = 130 in
-  let n_domains = 4 in
-  let n_contents = 64 in
-  (* Deterministic pseudo-random contents, many sharing stripes. *)
-  let contents =
-    Array.init n_contents (fun i ->
-        let rec bits k state acc =
-          if k = 0 then acc
-          else
-            let state = (state * 48271) mod 0x7fffffff in
-            bits (k - 1) state (state mod width :: acc)
-        in
-        B.of_list width (bits (1 + (i mod 9)) (i + 1) []))
-  in
-  (* Each domain interns fresh structurally-equal copies, in a rotated
-     order so stripes are hit in different sequences. *)
-  let intern_all rot =
-    Array.init n_contents (fun i ->
-        let s = contents.((i + rot) mod n_contents) in
-        let copy = B.of_list width (B.elements s) in
-        let r = B.intern copy in
-        ((i + rot) mod n_contents, r, B.id r))
-  in
-  let per_domain =
-    let domains =
-      List.init n_domains (fun d -> Domain.spawn (fun () -> intern_all d))
-    in
-    List.map Domain.join domains
-  in
-  let canonical = Hashtbl.create n_contents in
-  List.iter
-    (Array.iter (fun (i, r, id) ->
-         check "representative has the content" true (B.equal r contents.(i));
-         match Hashtbl.find_opt canonical i with
-         | None -> Hashtbl.add canonical i (r, id)
-         | Some (r0, id0) ->
-             check "physically unique across domains" true (r == r0);
-             check_int "stable id across domains" id0 id))
-    per_domain;
-  (* Re-interning from the test domain still lands on the same object. *)
-  Hashtbl.iter
-    (fun i (r0, id0) ->
-      let again = B.intern (B.of_list width (B.elements contents.(i))) in
-      check "re-intern is physical" true (again == r0);
-      check_int "re-intern id" id0 (B.id again))
-    canonical;
-  (* The live count covers at least the distinct contents still held
-     here (equal random contents collapse to one id). *)
-  let distinct = Hashtbl.create n_contents in
-  Hashtbl.iter (fun _ (_, id) -> Hashtbl.replace distinct id ()) canonical;
-  check "interned_count covers the held sets" true
-    (B.interned_count () >= Hashtbl.length distinct)
-
 let gen_set width =
   QCheck2.Gen.(
     map (fun xs -> B.of_list width xs) (list_size (0 -- 20) (0 -- (width - 1))))
@@ -175,6 +118,5 @@ let suite =
     Alcotest.test_case "choose on empty" `Quick test_choose_empty;
     Alcotest.test_case "hash and compare" `Quick test_hash_compare;
     Alcotest.test_case "to_string" `Quick test_to_string;
-    Alcotest.test_case "concurrent interning" `Quick test_concurrent_interning;
   ]
   @ props

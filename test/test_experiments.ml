@@ -61,9 +61,9 @@ let test_nsdp_gpo_constant () =
 
 (* The nsdp-12 run of "NSDP GPO stays fast", timed when the test binary
    starts, in process CPU time.  The suites that run before it grow the
-   process-wide weak intern tables (bitsets, world-set nodes), which
-   alone doubles a cold run; concurrent load on the machine does not
-   count against CPU time. *)
+   process-wide weak unique table of world-set nodes, which alone
+   doubled a cold run; concurrent load on the machine does not count
+   against CPU time. *)
 let nsdp12 =
   let t0 = Sys.time () in
   let r = Gpn.Explorer.analyse ~scan:false (Models.Nsdp.make 12) in

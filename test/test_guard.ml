@@ -94,9 +94,9 @@ let engines_report_deadline () =
     (r.stop = Guard.Deadline)
 
 (* GPO's set-up builds r0, the product of the cluster alternatives:
-   93 750 worlds on over-8, about a second of work before the explorer's
-   first poll.  The set-up polls the guard itself, so an expired
-   deadline stops it within milliseconds and Engine.run reports it. *)
+   93 750 worlds on over-8.  The set-up polls the guard itself and the
+   explorer polls before its first state, so an expired deadline stops
+   the run within milliseconds and Engine.run reports it. *)
 let gpo_setup_polls_guard () =
   let net = Models.Over.make 8 in
   let t0 = Unix.gettimeofday () in

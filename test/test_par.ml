@@ -211,7 +211,7 @@ let gpo_differential_faults () =
     let with_kind kind jobs =
       match
         Guard.Fault.with_faults ~rate:0.05 ~kinds:[ kind ]
-          ~sites:[ "gpo.step"; "bitset.intern" ] seed (fun () ->
+          ~sites:[ "gpo.step"; "worldset.op" ] seed (fun () ->
             G.analyse ~max_states:50_000 ~jobs net)
       with
       | r when r.G.stop = Guard.Completed -> Some r

@@ -1,6 +1,6 @@
 (* The deviation scan's two kernels against their references: the
-   denotation classes of [Gpn.Scan.classify] (one descent of the
-   world-set tries) against grouping the worlds one by one through
+   denotation classes of [Gpn.Scan.classify] (one descent of the valid
+   set's diagram) against grouping the worlds one by one through
    [State.denoted_marking], and the incremental normal form against the
    cycle-detecting walk.  Checked on every state the explorer visits. *)
 
@@ -9,7 +9,9 @@ module W = Gpn.World_set
 module E = Gpn.Explorer
 module Scan = Gpn.Scan
 
-let zoo = Test_conformance.zoo @ [ Models.Nsdp.make 6; Models.Asat.make 4 ]
+(* rw-32 has 128 transitions, three words of worlds. *)
+let zoo =
+  Test_conformance.zoo @ [ Models.Nsdp.make 6; Models.Asat.make 4; Models.Rw.make 32 ]
 
 let visited_states (r : E.result) =
   List.concat_map

@@ -83,11 +83,25 @@ module R = Set.Make (B)
 
 let width = 12
 
-let random_world st =
-  let k = Random.State.int st (width + 1) in
+(* The widths the sessions run at: one word, two, and three.  Past one
+   word, a quarter of the picks go to the words' sign bits, transitions
+   62 and 125, which come first in their word's variable order and
+   decide [Bitset.compare] there. *)
+let widths = [ width; 70; 130 ]
+
+let random_world ?(width = width) st =
+  let signs =
+    List.filter (fun b -> b < width) [ Sys.int_size - 1; (2 * Sys.int_size) - 1 ]
+  in
+  let pick () =
+    if signs <> [] && Random.State.int st 4 = 0 then
+      List.nth signs (Random.State.int st (List.length signs))
+    else Random.State.int st width
+  in
+  let k = Random.State.int st (min width 12 + 1) in
   let w = ref (B.empty width) in
   for _ = 1 to k do
-    w := B.add (Random.State.int st width) !w
+    w := B.add (pick ()) !w
   done;
   !w
 
@@ -96,13 +110,17 @@ let check_pair ctx (h, r) =
     Alcotest.failf "%s: cardinal %d vs %d" ctx (W.cardinal h) (R.cardinal r);
   if not (List.equal B.equal (W.elements h) (R.elements r)) then
     Alcotest.failf "%s: elements differ" ctx;
-  if W.is_empty h <> R.is_empty r then Alcotest.failf "%s: is_empty differs" ctx
+  if W.is_empty h <> R.is_empty r then Alcotest.failf "%s: is_empty differs" ctx;
+  let least f x = match f x with v -> Some v | exception Not_found -> None in
+  if not (Option.equal B.equal (least W.choose h) (least R.min_elt r)) then
+    Alcotest.failf "%s: choose is not the least element" ctx
 
 (* One random session: grow a pool of (world set, reference) pairs built
    by identical operations, checking observational agreement after
    every step.  The pool is a function of [seed]; the session's random
    state comes back with it. *)
-let op_pool seed =
+let op_pool ?(width = width) seed =
+  let random_world = random_world ~width in
   let st = Random.State.make [| seed |] in
   let pool = ref [| (W.empty, R.empty) |] in
   let pick () = !pool.(Random.State.int st (Array.length !pool)) in
@@ -141,8 +159,8 @@ let op_pool seed =
 
 (* A session's pool, then the pairwise relations: they must agree with
    the reference, and the hash must be consistent with equality. *)
-let op_session seed =
-  let pool, st = op_pool seed in
+let op_session ~width seed =
+  let pool, st = op_pool ~width seed in
   Array.iteri
     (fun i (ha, ra) ->
       Array.iteri
@@ -155,15 +173,18 @@ let op_session seed =
           if W.equal ha hb && W.hash ha <> W.hash hb then
             Alcotest.failf "%s" (ctx "hash/equal"))
         pool;
-      let w = random_world st in
+      let w = random_world ~width st in
       if W.mem w ha <> R.mem w ra then
-        Alcotest.failf "seed %d set %d: mem differs" seed i)
+        Alcotest.failf "width %d seed %d set %d: mem differs" width seed i)
     pool
 
 let test_ops_random () =
-  for seed = 0 to 199 do
-    op_session seed
-  done
+  List.iter
+    (fun width ->
+      for seed = 0 to 199 do
+        op_session ~width seed
+      done)
+    widths
 
 (* Cartesian products, exercised separately: the pool sets above can
    grow too large to multiply safely. *)
@@ -192,14 +213,20 @@ let check_product ctx width factors =
 
 let test_products () =
   let st = Random.State.make [| 0xbeef |] in
-  for case = 0 to 99 do
-    let factors =
-      List.init
-        (1 + Random.State.int st 3)
-        (fun _ -> List.init (1 + Random.State.int st 3) (fun _ -> random_world st))
-    in
-    ignore (check_product (Printf.sprintf "product case %d" case) width factors)
-  done;
+  List.iter
+    (fun width ->
+      for case = 0 to 99 do
+        let factors =
+          List.init
+            (1 + Random.State.int st 3)
+            (fun _ ->
+              List.init (1 + Random.State.int st 3) (fun _ -> random_world ~width st))
+        in
+        ignore
+          (check_product (Printf.sprintf "width %d product case %d" width case) width
+             factors)
+      done)
+    widths;
   (* r0-sized products: 8-12 two- or three-way factors over disjoint
      transition ranges, as conflict clusters are, so every choice is a
      distinct world. *)
@@ -278,10 +305,12 @@ let test_clear_caches_across_domains () =
   let hits = Gpo_obs.Counter.make "worldset.union.cache_hit" in
   let misses = Gpo_obs.Counter.make "worldset.union.cache_miss" in
   let counts () = (Gpo_obs.Counter.value hits, Gpo_obs.Counter.value misses) in
-  (* Two-world sets: their union is one memoized step over two branch
-     nodes, with leaf-level work below it. *)
+  (* Two-world sets whose union is one memoized step: every world of
+     [a] holds transition 5, which comes before all of [b]'s in the
+     variable order, so [b] becomes the [lo] side of [a]'s top node and
+     nothing below it is computed. *)
   let a = W.of_list [ w [ 0; 5 ]; w [ 1; 5 ] ] in
-  let b = W.of_list [ w [ 2; 5 ]; w [ 3; 5 ] ] in
+  let b = W.of_list [ w [ 2 ]; w [ 3 ] ] in
   let phase = Atomic.make 0 in
   let await n = while Atomic.get phase < n do Domain.cpu_relax () done in
   let other =
@@ -310,8 +339,9 @@ let test_hit_across_domains () =
     ( Gpo_obs.Counter.value (Gpo_obs.Counter.make "worldset.union.cache_hit"),
       Gpo_obs.Counter.value (Gpo_obs.Counter.make "worldset.union.cache_miss") )
   in
+  (* A one-step union, as above. *)
   let a = W.of_list [ w [ 0; 6 ]; w [ 1; 6 ] ] in
-  let b = W.of_list [ w [ 2; 6 ]; w [ 3; 6 ] ] in
+  let b = W.of_list [ w [ 2 ]; w [ 3 ] ] in
   let here = W.union a b in
   let there, (h0, m0), c1 =
     Domain.join
